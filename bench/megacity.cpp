@@ -1,7 +1,12 @@
 // The megacity gate: a national corridor (default 100 km, 10k vehicles,
 // join/leave churn, ~1% black holes) run twice — once monolithic
 // (--shards-a, default 1) and once partitioned (--shards-b, default 4) —
-// on the same thread pool.
+// on the same thread pool of --jobs workers. With more than one job the
+// partitioned run is repeated on a one-worker pool, which splits the
+// speedup of B over A into its two sources: algorithmic_speedup (shards_b
+// on one thread vs shards_a — smaller per-shard event queues and grids) and
+// parallel_speedup (shards_b on --jobs threads vs on one). Their product is
+// `speedup`.
 //
 // The bench asserts the tentpole guarantee end to end: both runs must be
 // BYTE-IDENTICAL on the deterministic surfaces (merged metrics JSON and the
@@ -11,12 +16,14 @@
 // checkpointing every other epoch — it must converge to the same surfaces,
 // with the checkpoint time reported as overhead. BENCH_megacity.json
 // (schema v2) carries two machine-dependent sidecars: "sharding"
-// (per-configuration fps, speedup, per-shard busy seconds and balance,
-// envelope volume) and "fault_tolerance" (checkpoint seconds/bytes, crash
-// epoch, restart/replay/recovery counters, identity verdict).
+// (per-configuration fps, speedup split into algorithmic and parallel
+// parts, per-shard busy seconds and balance, envelope volume) and
+// "fault_tolerance" (checkpoint seconds/bytes, crash epoch,
+// restart/replay/recovery counters, identity verdict).
 // scripts/bench_compare.py gates frames_per_second against the committed
 // baseline and the checkpoint overhead against 5% of the leg's wall clock;
-// CI additionally checks the baseline's speedup stays > 1.
+// CI additionally checks the baseline's speedup and parallel_speedup stay
+// > 1.
 //
 // Flags: --segments N       corridor length in km (default 100)
 //        --vehicles N       fleet size (default 10000)
@@ -42,6 +49,7 @@
 #include "obs/bench_json.hpp"
 #include "scenario/corridor_world.hpp"
 #include "sim/parallel.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace {
 
@@ -212,18 +220,29 @@ int main(int argc, char** argv) {
 
   const RunResult a = runCorridor(config, shardsA, epochs, pool);
   const RunResult b = runCorridor(config, shardsB, epochs, pool);
+  // The partitioned run on one thread; with --jobs 1 that is run B itself.
+  RunResult serialB;
+  if (jobs > 1) {
+    sim::ThreadPool serialPool{1};
+    serialB = runCorridor(config, shardsB, epochs, serialPool);
+  }
+  const RunResult& b1 = jobs > 1 ? serialB : b;
   const FaultToleranceResult ft =
       runFaultTolerance(config, shardsB, epochs, pool);
 
   const bool identical = a.metricsJson == b.metricsJson &&
                          a.canonicalLog == b.canonicalLog &&
-                         a.framesDelivered == b.framesDelivered;
+                         a.framesDelivered == b.framesDelivered &&
+                         b1.metricsJson == b.metricsJson &&
+                         b1.canonicalLog == b.canonicalLog;
   // The crashed-and-restarted run must converge to the same surfaces: the
   // supervisor replayed the retained envelopes, so the recovery is
   // unobservable on the deterministic side.
   const bool ftIdentical = ft.metricsJson == b.metricsJson &&
                            ft.canonicalLog == b.canonicalLog;
   const double speedup = a.fps > 0.0 ? b.fps / a.fps : 0.0;
+  const double algorithmicSpeedup = a.fps > 0.0 ? b1.fps / a.fps : 0.0;
+  const double parallelSpeedup = b1.fps > 0.0 ? b.fps / b1.fps : 0.0;
 
   double busyMin = 0.0;
   double busyMax = 0.0;
@@ -241,9 +260,16 @@ int main(int argc, char** argv) {
   table.addRow({"B", std::to_string(shardsB),
                 std::to_string(b.framesDelivered), Table::num(b.runSeconds, 3),
                 Table::num(b.fps, 0)});
+  if (jobs > 1) {
+    table.addRow({"B, 1 thread", std::to_string(shardsB),
+                  std::to_string(b1.framesDelivered),
+                  Table::num(b1.runSeconds, 3), Table::num(b1.fps, 0)});
+  }
   table.print(std::cout);
   std::cout << "\nidentical surfaces : " << (identical ? "yes" : "NO — BUG")
             << "\nspeedup (B/A)      : " << Table::num(speedup, 2)
+            << "\n  algorithmic      : " << Table::num(algorithmicSpeedup, 2)
+            << "\n  parallel         : " << Table::num(parallelSpeedup, 2)
             << "\nshard balance      : " << Table::num(balance, 3)
             << "\nenvelopes exchanged: " << b.stats.envelopesExchanged << '\n';
   std::cout << "\nFault tolerance (crash shard " << shardsB - 1 << " at epoch "
@@ -270,7 +296,12 @@ int main(int argc, char** argv) {
                           ",\n    \"epochs\": " + std::to_string(epochs) +
                           ",\n    \"fps_shards_a\": " + num(a.fps) +
                           ",\n    \"fps_shards_b\": " + num(b.fps) +
+                          ",\n    \"fps_shards_b_jobs1\": " + num(b1.fps) +
                           ",\n    \"speedup\": " + num(speedup) +
+                          ",\n    \"algorithmic_speedup\": " +
+                          num(algorithmicSpeedup) +
+                          ",\n    \"parallel_speedup\": " +
+                          num(parallelSpeedup) +
                           ",\n    \"balance_ratio\": " + num(balance) +
                           ",\n    \"busy_seconds\": [";
     for (std::size_t s = 0; s < b.stats.busySeconds.size(); ++s) {

@@ -140,6 +140,9 @@ def main(argv):
         print(f"sharding.speedup: {b_sh['speedup']:.2f} -> "
               f"{c_sh['speedup']:.2f} (informational — CI gates the "
               "committed baseline's speedup separately)")
+        for key in ("algorithmic_speedup", "parallel_speedup"):
+            if key in b_sh and key in c_sh:
+                print(f"sharding.{key}: {b_sh[key]:.2f} -> {c_sh[key]:.2f}")
         print(f"sharding.balance_ratio: {b_sh['balance_ratio']:.3f} -> "
               f"{c_sh['balance_ratio']:.3f}")
 

@@ -70,13 +70,18 @@ python3 scripts/bench_compare.py \
   bench/baselines/BENCH_megacity.json \
   "$out"/BENCH_megacity.json
 # The committed baseline must demonstrate the point of the sharding: the
-# partitioned run strictly outruns the monolith on the baseline machine.
+# partitioned run strictly outruns the monolith on the baseline machine,
+# and running its shards on several threads beats running them on one.
 python3 - <<'PY'
 import json
 side = json.load(open("bench/baselines/BENCH_megacity.json"))["sharding"]
 assert side["identical"] is True, "baseline surfaces were not identical"
 assert side["speedup"] > 1.0, f"baseline speedup {side['speedup']} <= 1.0"
-print(f"baseline: speedup {side['speedup']:.2f}, "
+assert side["parallel_speedup"] > 1.0, \
+    f"baseline parallel_speedup {side['parallel_speedup']} <= 1.0"
+print(f"baseline: speedup {side['speedup']:.2f} "
+      f"(algorithmic {side['algorithmic_speedup']:.2f} x "
+      f"parallel {side['parallel_speedup']:.2f}), "
       f"balance {side['balance_ratio']:.3f} — OK")
 PY
 

@@ -52,9 +52,11 @@ frames_delivered / wall_clock_seconds.
 
 BENCH_megacity.json additionally carries a "sharding" sidecar (the
 machine-dependent half of the sharded-corridor story) which is required for
-that bench: positive shard counts, fps for both partitionings, speedup > 0,
-busy_seconds with one non-negative entry per shard of run B, balance_ratio
-in [0, 1], and identical == true — the byte-identity of shards=1 vs
+that bench: positive shard counts, fps for both partitionings (and for
+shards_b on one thread), speedup > 0 with its algorithmic_speedup and
+parallel_speedup factors (positive, product == speedup), busy_seconds
+with one non-negative entry per shard of run B, balance_ratio in [0, 1],
+and identical == true — the byte-identity of shards=1 vs
 shards=N is part of the schema, not just a test.
 
 It also requires a "fault_tolerance" sidecar from the crash-and-recover
@@ -143,9 +145,10 @@ def check_throughput(path, doc):
 
 
 SHARDING_KEYS = ("shards_a", "shards_b", "jobs", "segments", "vehicles",
-                 "epochs", "fps_shards_a", "fps_shards_b", "speedup",
-                 "balance_ratio", "busy_seconds", "envelopes_exchanged",
-                 "identical")
+                 "epochs", "fps_shards_a", "fps_shards_b",
+                 "fps_shards_b_jobs1", "speedup", "algorithmic_speedup",
+                 "parallel_speedup", "balance_ratio", "busy_seconds",
+                 "envelopes_exchanged", "identical")
 
 
 def check_sharding(path, doc):
@@ -166,12 +169,21 @@ def check_sharding(path, doc):
                 "epochs"):
         if sharding[key] < 1:
             fail(path, f"sharding.{key} must be positive")
-    for key in ("fps_shards_a", "fps_shards_b", "speedup", "balance_ratio"):
+    for key in ("fps_shards_a", "fps_shards_b", "fps_shards_b_jobs1",
+                "speedup", "algorithmic_speedup", "parallel_speedup",
+                "balance_ratio"):
         check_number(path, f"sharding.{key}", sharding[key])
         if sharding[key] < 0:
             fail(path, f"sharding.{key} must be non-negative")
-    if sharding["speedup"] <= 0:
-        fail(path, "sharding.speedup must be > 0 (both runs completed)")
+    for key in ("speedup", "algorithmic_speedup", "parallel_speedup"):
+        if sharding[key] <= 0:
+            fail(path, f"sharding.{key} must be > 0 (every run completed)")
+    # speedup = algorithmic x parallel; the sidecar prints 6 significant
+    # digits, so allow that much rounding.
+    product = sharding["algorithmic_speedup"] * sharding["parallel_speedup"]
+    if abs(product - sharding["speedup"]) > 1e-4 * sharding["speedup"]:
+        fail(path, f"sharding.algorithmic_speedup x parallel_speedup = "
+                   f"{product:.6g}, expected speedup {sharding['speedup']}")
     if not 0 <= sharding["balance_ratio"] <= 1:
         fail(path, f"sharding.balance_ratio must be in [0, 1], got "
                    f"{sharding['balance_ratio']}")

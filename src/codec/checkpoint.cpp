@@ -9,16 +9,34 @@ namespace blackdp::codec {
 
 namespace {
 
-std::array<std::uint32_t, 256> makeCrcTable() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: t[0] is the classic bytewise table, and t[k][b] is
+/// the CRC contribution of byte b followed by k zero bytes, so one step
+/// folds eight input bytes with eight independent lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables makeCrcTables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t i = 0; i < 256; ++i) {
+    for (std::size_t k = 1; k < 8; ++k) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+/// Four input bytes as a little-endian word (the reflected CRC's order).
+std::uint32_t loadLe32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
 /// Removes the temp file on scope exit unless disarmed by commit().
@@ -38,11 +56,18 @@ class TempFileGuard {
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  static const std::array<std::uint32_t, 256> table = makeCrcTable();
+  static const CrcTables t = makeCrcTables();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const std::uint8_t byte : data) {
-    crc = table[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = crc ^ loadLe32(p);
+    const std::uint32_t hi = loadLe32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 
@@ -66,7 +91,12 @@ void CheckpointBuilder::add(CheckpointTag tag, common::Bytes body) {
 }
 
 common::Bytes CheckpointBuilder::finish() const {
+  // Header + (tag, length, body) per section + trailing CRC, sized up
+  // front so the assembly copies each body exactly once.
+  std::size_t total = 4 + 2 + 4 + 4;
+  for (const CheckpointSection& s : sections_) total += 2 + 4 + s.body.size();
   common::ByteWriter w;
+  w.reserve(total);
   w.writeU32(kCheckpointMagic);
   w.writeU16(kCheckpointVersion);
   w.writeU32(static_cast<std::uint32_t>(sections_.size()));

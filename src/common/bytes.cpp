@@ -1,27 +1,31 @@
 #include "common/bytes.hpp"
 
+#include <array>
 #include <stdexcept>
 
 namespace blackdp::common {
 
 void ByteWriter::writeU8(std::uint8_t v) { buffer_.push_back(v); }
 
-void ByteWriter::writeU16(std::uint16_t v) {
-  buffer_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buffer_.push_back(static_cast<std::uint8_t>(v & 0xff));
+namespace {
+
+/// Appends `v` big-endian in one insert (one capacity check, not N).
+template <typename T>
+void appendBigEndian(Bytes& buffer, T v) {
+  std::array<std::uint8_t, sizeof(T)> bytes{};
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(v >> (8 * (sizeof(T) - 1 - i)));
+  }
+  buffer.insert(buffer.end(), bytes.begin(), bytes.end());
 }
 
-void ByteWriter::writeU32(std::uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    buffer_.push_back(static_cast<std::uint8_t>((v >> shift) & 0xff));
-  }
-}
+}  // namespace
 
-void ByteWriter::writeU64(std::uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    buffer_.push_back(static_cast<std::uint8_t>((v >> shift) & 0xff));
-  }
-}
+void ByteWriter::writeU16(std::uint16_t v) { appendBigEndian(buffer_, v); }
+
+void ByteWriter::writeU32(std::uint32_t v) { appendBigEndian(buffer_, v); }
+
+void ByteWriter::writeU64(std::uint64_t v) { appendBigEndian(buffer_, v); }
 
 void ByteWriter::writeI64(std::int64_t v) {
   writeU64(static_cast<std::uint64_t>(v));

@@ -42,6 +42,9 @@ class ByteWriter {
     }
   }
 
+  /// Pre-sizes the buffer for `bytes` more bytes of output.
+  void reserve(std::size_t bytes) { buffer_.reserve(buffer_.size() + bytes); }
+
   [[nodiscard]] const Bytes& bytes() const { return buffer_; }
   [[nodiscard]] Bytes take() && { return std::move(buffer_); }
 

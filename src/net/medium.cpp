@@ -137,6 +137,48 @@ void WirelessMedium::scheduleSendFailure(common::NodeId sender,
   });
 }
 
+std::uint32_t WirelessMedium::openBatch(const Frame& frame) {
+  std::uint32_t batch = 0;
+  if (!freeBatches_.empty()) {
+    batch = freeBatches_.back();
+    freeBatches_.pop_back();
+  } else {
+    batch = static_cast<std::uint32_t>(batches_.size());
+    batches_.emplace_back();
+  }
+  batches_[batch].frame = frame;
+  return batch;
+}
+
+void WirelessMedium::flushBatch(std::uint32_t& batch) {
+  if (batch == kNoBatch) return;
+  simulator_.schedule(config_.perHopLatency,
+                      [this, index = batch] { deliverBatch(index); });
+  batch = kNoBatch;
+}
+
+void WirelessMedium::deliverBatch(std::uint32_t batch) {
+  // onFrame may send() and grow batches_, so the frame is held by value and
+  // the receiver list is re-indexed through the pool on every step.
+  const Frame frame = std::move(batches_[batch].frame);
+  for (std::size_t i = 0; i < batches_[batch].receivers.size(); ++i) {
+    deliver(batches_[batch].receivers[i], frame);
+  }
+  batches_[batch].receivers.clear();
+  freeBatches_.push_back(batch);
+}
+
+void WirelessMedium::deliver(common::NodeId receiver, const Frame& frame) {
+  // Deliver only if the receiver is still attached at delivery time (a
+  // vehicle may leave the highway while the frame is in flight, or an
+  // earlier receiver's handler may detach it).
+  Radio** live = radios_.find(receiver);
+  if (live == nullptr) return;
+  ++stats_.framesDelivered;
+  traceFrame(simulator_, obs::EventKind::kFrameRx, 0, receiver, frame);
+  (*live)->onFrame(frame);
+}
+
 void WirelessMedium::send(common::NodeId sender, Frame frame) {
   Radio* const* senderRadio = radios_.find(sender);
   BDP_ASSERT_MSG(senderRadio != nullptr, "send from unattached node");
@@ -175,6 +217,11 @@ void WirelessMedium::send(common::NodeId sender, Frame frame) {
     }
   }
 
+  // Zero jitter: every delivery of this send shares one time, so survivors
+  // go into one batch event instead of one event each.
+  const bool batched = config_.maxJitter <= sim::Duration{};
+  std::uint32_t batch = kNoBatch;
+
   // One delivery decision per candidate receiver. Out-of-range candidates
   // are skipped before any RNG draw, so the grid path (which merely proposes
   // a superset of the in-range nodes) and the linear scan consume the RNG
@@ -196,6 +243,9 @@ void WirelessMedium::send(common::NodeId sender, Frame frame) {
           ++stats_.sendFailures;
           traceFrame(simulator_, obs::EventKind::kFrameSendFailed,
                      static_cast<std::uint8_t>(cause), sender, frame);
+          // The failure runs between the deliveries before and after the
+          // addressee, as the per-receiver events would have ordered it.
+          flushBatch(batch);
           scheduleSendFailure(sender, frame);
         }
         return;
@@ -209,31 +259,32 @@ void WirelessMedium::send(common::NodeId sender, Frame frame) {
                  nodeId, frame);
       return;
     }
-    sim::Duration latency = config_.perHopLatency;
-    if (config_.maxJitter > sim::Duration{}) {
-      latency = latency + sim::Duration::microseconds(
-                              rng_.uniformInt(0, config_.maxJitter.us()));
+    if (batched) {
+      if (batch == kNoBatch) batch = openBatch(frame);
+      batches_[batch].receivers.push_back(nodeId);
+      return;
     }
-    // Deliver only if the receiver is still attached at delivery time
-    // (a vehicle may leave the highway while the frame is in flight).
-    simulator_.schedule(latency, [this, nodeId, frame] {
-      Radio** live = radios_.find(nodeId);
-      if (live == nullptr) return;
-      ++stats_.framesDelivered;
-      traceFrame(simulator_, obs::EventKind::kFrameRx, 0, nodeId, frame);
-      (*live)->onFrame(frame);
-    });
+    const sim::Duration latency =
+        config_.perHopLatency +
+        sim::Duration::microseconds(rng_.uniformInt(0, config_.maxJitter.us()));
+    simulator_.schedule(latency,
+                        [this, nodeId, frame] { deliver(nodeId, frame); });
   };
 
-  if (config_.spatialGrid) {
+  // One loop over either candidate source, so `visit` has a single call
+  // site and inlines into it.
+  const bool grid = config_.spatialGrid;
+  if (grid) {
     maybeRefreshGrid();
     collectCandidates(origin);
-    for (const std::uint32_t index : gridCandidates_) {
-      visit(receivers_[index].first, receivers_[index].second);
-    }
-  } else {
-    for (const auto& [nodeId, radio] : receivers_) visit(nodeId, radio);
   }
+  const std::size_t candidates =
+      grid ? gridCandidates_.size() : receivers_.size();
+  for (std::size_t k = 0; k < candidates; ++k) {
+    const auto& [nodeId, radio] = receivers_[grid ? gridCandidates_[k] : k];
+    visit(nodeId, radio);
+  }
+  flushBatch(batch);
 }
 
 bool WirelessMedium::inRange(common::NodeId a, common::NodeId b) const {

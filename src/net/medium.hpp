@@ -16,6 +16,25 @@
 // and draw from the RNG for exactly the same receiver sequence, so a run
 // replays byte-identically whichever path is active (pinned by
 // medium_grid_test).
+//
+// Delivery events. A jittered medium schedules one event per surviving
+// receiver, each at its own jittered time. A zero-jitter medium (corridor,
+// stream, the experiments preset) schedules ONE event per transmission: the
+// receivers that survive send()'s per-candidate decisions are appended, in
+// ascending node-id order, to a batch record in a medium-owned pool (one
+// Frame plus the receivers' ids), and a single event at now + perHopLatency
+// walks that list. Per receiver it applies exactly the checks and effects
+// of the per-receiver event it replaces — liveness at delivery time,
+// framesDelivered, the kFrameRx trace, onFrame — so the delivery order is
+// unchanged: the k per-receiver events shared one `when` and had
+// consecutive seqs, so nothing could run between them, and anything a
+// handler schedules gets a later seq in both designs. The one event that
+// used to sit mid-list, the onSendFailed of a fault-dropped unicast
+// addressee, is kept in place by closing the batch before scheduling it and
+// opening a new one after. Simulator::executedEvents (and the kSimRun
+// run-end count) therefore counts one event per zero-jitter transmission,
+// not one per receiver. Batch slots and their receiver vectors recycle, so
+// the steady state allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -187,6 +206,23 @@ class WirelessMedium {
 
   void scheduleSendFailure(common::NodeId sender, const Frame& frame);
 
+  /// One zero-jitter transmission in flight: the frame, held once, and the
+  /// receivers that survived send()'s decisions, in ascending node-id order.
+  struct DeliveryBatch {
+    Frame frame;
+    std::vector<common::NodeId> receivers;
+  };
+  static constexpr std::uint32_t kNoBatch = 0xffff'ffffu;
+  /// Takes a pool slot (a recycled one first) and stores `frame` in it.
+  [[nodiscard]] std::uint32_t openBatch(const Frame& frame);
+  /// Schedules the delivery event of `batch`, if one is open, and closes it.
+  void flushBatch(std::uint32_t& batch);
+  /// The batch event: delivers to every still-attached receiver in order,
+  /// then releases the frame and recycles the slot.
+  void deliverBatch(std::uint32_t batch);
+  /// One delivery, checked and counted at delivery time (both paths).
+  void deliver(common::NodeId receiver, const Frame& frame);
+
   /// ownerOf_ slot value meaning "this address is not currently bound".
   static constexpr std::uint32_t kUnbound = 0xffff'ffffu;
 
@@ -215,6 +251,13 @@ class WirelessMedium {
   std::vector<std::uint32_t> gridCandidates_;  ///< per-send scratch
   sim::TimePoint gridBuiltAt_{};
   bool gridValid_{false};
+
+  /// Zero-jitter delivery batches, map-array style: events carry only a
+  /// slot index (16-byte capture), the records live here. Handlers may
+  /// send() mid-batch and grow the pool, so code indexes into it and never
+  /// holds a reference across a callback.
+  std::vector<DeliveryBatch> batches_;
+  std::vector<std::uint32_t> freeBatches_;
 };
 
 }  // namespace blackdp::net

@@ -4,10 +4,11 @@
 // ticks) carry captures of a few dozen bytes. std::function heap-allocates
 // anything over its ~16-byte small buffer, which charged one malloc/free
 // pair to every delivered frame. EventFn is a move-only type-erased
-// callable with a 48-byte inline buffer sized for the largest hot capture
-// (the medium's delivery lambda: this + NodeId + Frame); larger or
-// alignment-exotic callables fall back to the heap, so cold paths lose
-// nothing but speed.
+// callable with a 48-byte inline buffer sized for the largest hot capture,
+// the jittered medium's per-receiver delivery lambda (this + NodeId +
+// Frame). A zero-jitter medium schedules one batch event per transmission
+// instead, capturing only this + a pool index. Larger or alignment-exotic
+// callables fall back to the heap, so cold paths lose nothing but speed.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +20,8 @@ namespace blackdp::sim {
 
 class EventFn {
  public:
-  /// Sized for the medium delivery capture; every hot-path lambda must fit.
+  /// Sized for the jittered medium's per-receiver delivery capture; every
+  /// hot-path lambda must fit.
   static constexpr std::size_t kInlineBytes = 48;
 
   EventFn() = default;

@@ -141,6 +141,35 @@ TEST(CheckpointCorruptionTest, CrcMatchesTheReferenceCheckValue) {
             0xCBF43926u);
 }
 
+TEST(CheckpointCorruptionTest, CrcMatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // The table-sliced CRC folds eight bytes per step; every tail length and
+  // start offset must agree with the plain one-byte-at-a-time definition.
+  const auto reference = [](std::span<const std::uint8_t> data) {
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (const std::uint8_t byte : data) {
+      crc ^= byte;
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc & 1u) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+      }
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+  common::Bytes buffer(96);
+  std::uint32_t state = 12345;
+  for (std::uint8_t& byte : buffer) {
+    state = state * 1664525u + 1013904223u;
+    byte = static_cast<std::uint8_t>(state >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; offset + length <= buffer.size(); ++length) {
+      const std::span<const std::uint8_t> slice{buffer.data() + offset,
+                                                length};
+      ASSERT_EQ(crc32(slice), reference(slice))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
 // --- atomic file writes ----------------------------------------------------
 
 class AtomicWriteTest : public ::testing::Test {

@@ -6,6 +6,7 @@
 // including a full seeded scenario's trace.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -225,6 +226,186 @@ TEST(MediumGridTest, DetachUnbindsAddressesAndReusedAddressRoutesToNewOwner) {
   EXPECT_EQ(sender.sendFailures, 1u);  // unchanged: the send succeeded
   ASSERT_FALSE(log.empty());
   EXPECT_EQ(log.back(), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Zero-jitter batch delivery. One transmission is one simulator event that
+// visits the surviving receivers in ascending id order; these pin that it is
+// indistinguishable from the per-receiver events it replaces.
+
+class Tagged final : public net::Payload {
+ public:
+  explicit Tagged(std::uint32_t value) : tag{value} {}
+  [[nodiscard]] std::string_view typeName() const override { return "tag"; }
+  std::uint32_t tag;
+};
+
+/// Logs "id" on every frame (and "fail" on a send failure) into a shared
+/// string log, then runs an optional per-test hook.
+class ScriptedRadio final : public Radio {
+ public:
+  ScriptedRadio(std::uint32_t id, std::vector<std::string>& log)
+      : id_{id}, log_{&log} {}
+
+  [[nodiscard]] mobility::Position radioPosition() const override {
+    return where;
+  }
+  void onFrame(const Frame& frame) override {
+    const auto* tagged = net::payloadAs<Tagged>(frame.payload);
+    log_->push_back(std::to_string(id_) + ":" +
+                    std::to_string(tagged != nullptr ? tagged->tag : 0));
+    if (onFrameHook) onFrameHook(frame);
+  }
+  void onSendFailed(const Frame&) override { log_->push_back("fail"); }
+
+  mobility::Position where{};
+  std::function<void(const Frame&)> onFrameHook;
+
+ private:
+  std::uint32_t id_;
+  std::vector<std::string>* log_;
+};
+
+/// Drops every delivery to one receiver as a jam loss.
+class DropOneReceiver final : public net::MediumFaultHook {
+ public:
+  explicit DropOneReceiver(common::NodeId target) : target_{target} {}
+  obs::DropCause dropDelivery(common::NodeId, common::NodeId receiver,
+                              const mobility::Position&,
+                              const mobility::Position&) override {
+    return receiver == target_ ? obs::DropCause::kJam : obs::DropCause::kNone;
+  }
+
+ private:
+  common::NodeId target_;
+};
+
+/// `count` radios, ids 1..count, 10 m apart on a line: all mutually in range
+/// of a zero-jitter medium.
+class MediumBatchTest : public ::testing::Test {
+ protected:
+  static constexpr std::uint32_t kRadios = 12;
+
+  MediumBatchTest() : medium_{simulator_, sim::Rng{11}, zeroJitter()} {
+    radios_.reserve(kRadios);
+    for (std::uint32_t i = 0; i < kRadios; ++i) {
+      radios_.emplace_back(i + 1, log_);
+      radios_.back().where = {10.0 * i, 0.0};
+      medium_.attach(common::NodeId{i + 1}, radios_.back());
+    }
+  }
+
+  static MediumConfig zeroJitter() {
+    MediumConfig config;
+    config.maxJitter = sim::Duration{};
+    return config;
+  }
+
+  void broadcast(std::uint32_t from, std::uint32_t tag) {
+    medium_.send(common::NodeId{from},
+                 Frame{common::Address{from}, common::kBroadcastAddress,
+                       net::makePayload<Tagged>(tag)});
+  }
+
+  /// "id:tag" for ids first..last, skipping `except`.
+  static std::vector<std::string> expected(std::uint32_t first,
+                                           std::uint32_t last,
+                                           std::uint32_t tag,
+                                           std::uint32_t except = 0) {
+    std::vector<std::string> out;
+    for (std::uint32_t id = first; id <= last; ++id) {
+      if (id != except) {
+        out.push_back(std::to_string(id) + ":" + std::to_string(tag));
+      }
+    }
+    return out;
+  }
+
+  ScriptedRadio& radio(std::uint32_t id) { return radios_[id - 1]; }
+
+  sim::Simulator simulator_;
+  WirelessMedium medium_;
+  std::vector<std::string> log_;
+  std::vector<ScriptedRadio> radios_;
+};
+
+TEST_F(MediumBatchTest, BroadcastIsOneEventDeliveredInAscendingId) {
+  const std::size_t before = simulator_.executedEvents();
+  broadcast(1, 7);
+  EXPECT_EQ(simulator_.pendingEvents(), 1u);
+  simulator_.run();
+  EXPECT_EQ(simulator_.executedEvents() - before, 1u);
+  EXPECT_EQ(log_, expected(2, kRadios, 7));
+  EXPECT_EQ(medium_.stats().framesDelivered, kRadios - 1);
+}
+
+TEST_F(MediumBatchTest, ReceiverDetachedByEarlierReceiverIsSkipped) {
+  radio(3).onFrameHook = [this](const Frame&) {
+    medium_.detach(common::NodeId{8});
+  };
+  broadcast(1, 1);
+  simulator_.run();
+  EXPECT_EQ(log_, expected(2, kRadios, 1, /*except=*/8));
+  EXPECT_EQ(medium_.stats().framesDelivered, kRadios - 2);
+}
+
+TEST_F(MediumBatchTest, ZeroDelayEventFromHandlerRunsAfterWholeBatch) {
+  radio(2).onFrameHook = [this](const Frame&) {
+    simulator_.schedule(sim::Duration{}, [this] { log_.push_back("timer"); });
+  };
+  broadcast(1, 3);
+  simulator_.run();
+  std::vector<std::string> want = expected(2, kRadios, 3);
+  want.push_back("timer");
+  EXPECT_EQ(log_, want);
+}
+
+TEST_F(MediumBatchTest, FaultDroppedAddresseeFailsBetweenNeighbours) {
+  // Node 6 owns the unicast address; the fault layer eats its delivery, so
+  // the sender's onSendFailed must run after 2..5 and before 7..12 — where
+  // the per-receiver events would have put it.
+  DropOneReceiver hook{common::NodeId{6}};
+  medium_.setFaultHook(&hook);
+  medium_.bindAddress(common::Address{66}, common::NodeId{6});
+  const std::size_t before = simulator_.executedEvents();
+  medium_.send(common::NodeId{1}, Frame{common::Address{1},
+                                        common::Address{66},
+                                        net::makePayload<Tagged>(4)});
+  simulator_.run();
+  std::vector<std::string> want = expected(2, 5, 4);
+  want.push_back("fail");
+  const std::vector<std::string> after = expected(7, kRadios, 4);
+  want.insert(want.end(), after.begin(), after.end());
+  EXPECT_EQ(log_, want);
+  // Batch before, the failure, batch after.
+  EXPECT_EQ(simulator_.executedEvents() - before, 3u);
+  EXPECT_EQ(medium_.stats().sendFailures, 1u);
+  EXPECT_EQ(medium_.stats().framesFaultDropped, 1u);
+  medium_.setFaultHook(nullptr);
+}
+
+TEST_F(MediumBatchTest, NestedSendsGrowingThePoolMidBatchDeliverCorrectly) {
+  // Receiver 2 answers the first frame with a burst of broadcasts of its
+  // own. Each opens a batch slot while the outer batch is still being
+  // walked, forcing the pool to grow; the outer batch must still reach all
+  // of its receivers with its own frame, and each nested frame its own.
+  constexpr std::uint32_t kNested = 40;
+  radio(2).onFrameHook = [this](const Frame& frame) {
+    if (net::payloadAs<Tagged>(frame.payload)->tag != 100) return;
+    for (std::uint32_t k = 0; k < kNested; ++k) broadcast(2, 200 + k);
+  };
+  broadcast(1, 100);
+  simulator_.run();
+
+  std::vector<std::string> want = expected(2, kRadios, 100);
+  for (std::uint32_t k = 0; k < kNested; ++k) {
+    std::vector<std::string> nested = expected(1, kRadios, 200 + k, 2);
+    want.insert(want.end(), nested.begin(), nested.end());
+  }
+  EXPECT_EQ(log_, want);
+  EXPECT_EQ(simulator_.executedEvents(), 1u + kNested);
+  EXPECT_EQ(medium_.stats().framesDelivered,
+            (kRadios - 1) * (1u + kNested));
 }
 
 TEST(MediumGridTest, InRangeAgreesWithDeliveryPredicate) {
