@@ -6,8 +6,8 @@ Stdlib only — CI runs this straight after the bench smoke pass:
     python3 scripts/validate_bench_json.py bench-out/BENCH_*.json
     python3 scripts/validate_bench_json.py bench-out/smoke.manifest.jsonl
 
-Arguments named exactly `manifest.jsonl` are validated as stream-soak
-checkpoint manifests (src/soak/stream_soak.hpp): one flat JSON line per
+Arguments named exactly `manifest.jsonl` are validated as soak
+checkpoint manifests (src/soak/checkpointed_run.hpp): one flat JSON line per
 checkpoint, `{"epoch": N, "file": "ckpt-NNNNNN.bdpc", "bytes": B,
 "crc32": C, "seed": S}`. Each referenced file must exist next to the
 manifest, match the recorded size and CRC-32 (binascii.crc32 of the raw

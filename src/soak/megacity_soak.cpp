@@ -1,16 +1,9 @@
 #include "soak/megacity_soak.hpp"
 
-#include <algorithm>
-#include <filesystem>
 #include <memory>
-#include <optional>
-#include <ostream>
 #include <string>
-#include <system_error>
-#include <utility>
 #include <vector>
 
-#include "codec/checkpoint.hpp"
 #include "common/ids.hpp"
 #include "core/lite_detector.hpp"
 
@@ -18,296 +11,99 @@ namespace blackdp::soak {
 
 namespace {
 
-void narrate(std::ostream* log, const std::string& line) {
-  if (log != nullptr) *log << line << '\n';
-}
+class CorridorSoakWorld final : public SoakWorld {
+ public:
+  CorridorSoakWorld(const scenario::CorridorConfig& config,
+                    std::uint32_t shards, sim::ThreadPool& pool)
+      : config_{config}, shards_{shards}, world_{config, shards, pool} {}
 
-std::string replayRecipe(const MegacitySoakOptions& options,
-                         std::uint32_t epochs) {
-  return "replay: soak_run --megacity --megacity-seed " +
-         std::to_string(options.config.seed) + " --segments " +
-         std::to_string(options.config.segments) + " --vehicles " +
-         std::to_string(options.config.vehicles) + " --shards " +
-         std::to_string(options.shards) + " --epochs " +
-         std::to_string(epochs);
-}
+  std::uint64_t nextEpoch() const override { return world_.nextEpoch(); }
 
-std::optional<StreamSoakViolation> resumeWorld(
-    const MegacitySoakOptions& options, scenario::CorridorWorld& world,
-    std::vector<ManifestEntry>& manifest, std::string& resumedPath) {
-  manifest = readManifest(options.checkpointDir);
-  if (manifest.empty()) {
-    return StreamSoakViolation{
-        0, "checkpoint-resume",
-        "no usable manifest entry in " + options.checkpointDir};
-  }
-  const ManifestEntry& entry = manifest.back();
-  if (entry.seed != options.config.seed) {
-    return StreamSoakViolation{
-        entry.epoch, "checkpoint-resume",
-        "manifest seed " + std::to_string(entry.seed) +
-            " != configured seed " + std::to_string(options.config.seed)};
-  }
-  const std::string path = options.checkpointDir + "/" + entry.file;
-  const auto blob = codec::readFile(path);
-  if (!blob.ok()) {
-    return StreamSoakViolation{entry.epoch, "checkpoint-resume",
-                               path + ": " + blob.error().detail};
-  }
-  if (blob.value().size() != entry.bytes) {
-    return StreamSoakViolation{
-        entry.epoch, "checkpoint-resume",
-        path + ": size " + std::to_string(blob.value().size()) +
-            " != manifest bytes " + std::to_string(entry.bytes)};
-  }
-  if (codec::crc32(blob.value()) != entry.crc32) {
-    return StreamSoakViolation{entry.epoch, "checkpoint-resume",
-                               path + ": CRC mismatch vs manifest"};
-  }
-  if (const auto restored = world.restoreCheckpoint(blob.value());
-      !restored.ok()) {
-    return StreamSoakViolation{
-        entry.epoch, "checkpoint-resume",
-        path + ": " + restored.error().code + ": " + restored.error().detail};
-  }
-  resumedPath = path;
-  return std::nullopt;
-}
-
-MegacitySoakResult runOnce(const MegacitySoakOptions& options,
-                           sim::ThreadPool& pool) {
-  MegacitySoakResult result;
-  const bool usesCheckpointDir = options.checkpointEvery > 0 || options.resume;
-  if (usesCheckpointDir) {
-    if (options.checkpointDir.empty()) {
-      result.violations.push_back(
-          {0, "checkpoint-write",
-           "checkpointDir is required when checkpointing or resuming"});
-      return result;
-    }
-    std::error_code ec;
-    std::filesystem::create_directories(options.checkpointDir, ec);
-    if (ec) {
-      result.violations.push_back(
-          {0, "checkpoint-write", options.checkpointDir + ": " + ec.message()});
-      return result;
-    }
+  common::Status runEpoch() override {
+    world_.step();
+    return {};
   }
 
-  auto world = std::make_unique<scenario::CorridorWorld>(
-      options.config, options.shards, pool);
-  std::vector<ManifestEntry> manifest;
-  if (options.resume) {
-    std::string resumedPath;
-    if (auto violation = resumeWorld(options, *world, manifest, resumedPath)) {
-      result.violations.push_back(std::move(*violation));
-      return result;
-    }
-    result.lastCheckpointPath = resumedPath;
-    narrate(options.log, "[megacity-soak] resumed at epoch " +
-                             std::to_string(world->nextEpoch()) + " from " +
-                             resumedPath);
+  common::Bytes saveCheckpoint() override { return world_.saveCheckpoint(); }
+
+  common::Status restoreCheckpoint(
+      std::span<const std::uint8_t> blob) override {
+    return world_.restoreCheckpoint(blob);
   }
-  result.startEpoch = world->nextEpoch();
 
-  const std::uint32_t target =
-      options.stopAfter > 0 ? std::min(options.epochs, options.stopAfter)
-                            : options.epochs;
+  Surfaces surfaces() override {
+    world_.finish();
+    return {world_.metricsJson(), world_.canonicalLog()};
+  }
 
-  while (world->nextEpoch() < target) {
-    const std::uint32_t epoch = world->nextEpoch();
-    world->step();
-
-    if (options.checkInvariants) {
-      std::vector<std::string> broken =
-          checkCorridorInvariants(options.config, *world);
-      if (!broken.empty()) {
-        for (std::string& b : broken) {
-          result.violations.push_back(
-              {epoch, "corridor-invariant",
-               std::move(b) + " (" + replayRecipe(options, epoch + 1) + ")"});
+  std::vector<RunViolation> invariants() const override {
+    std::vector<RunViolation> broken;
+    std::size_t totalSessions = 0;
+    world_.forEachSegment([&](std::uint32_t segment,
+                              const std::vector<common::Address>& isolated,
+                              const core::LiteDetector& detector) {
+      for (const common::Address address : isolated) {
+        const bool isVehicle =
+            address.value() >= scenario::kVehicleAddressBase &&
+            address.value() < scenario::kVehicleAddressBase + config_.vehicles;
+        const auto id = static_cast<std::uint32_t>(
+            address.value() - scenario::kVehicleAddressBase);
+        if (!isVehicle || !scenario::vehicleSpec(config_, id).attacker) {
+          broken.push_back({0, "honest-isolation",
+                            "segment " + std::to_string(segment) +
+                                " isolated " +
+                                std::to_string(address.value()) +
+                                " which is not a scripted attacker"});
         }
-        break;  // fail fast: these are hard invariants
       }
+      totalSessions += detector.activeSessions();
+      detector.forEachSession([&](const core::LiteSessionState& session) {
+        if (session.probesSent > config_.detector.maxProbes ||
+            session.forwards > config_.detector.maxForwards ||
+            session.violations >= config_.detector.probesToConfirm) {
+          broken.push_back(
+              {0, "tables-drained",
+               "segment " + std::to_string(segment) + " session for " +
+                   std::to_string(session.suspect.value()) +
+                   " exceeds its budgets (probes " +
+                   std::to_string(session.probesSent) + ", forwards " +
+                   std::to_string(session.forwards) + ", violations " +
+                   std::to_string(session.violations) + ")"});
+        }
+      });
+    });
+    if (totalSessions > config_.vehicles) {
+      broken.push_back({0, "tables-drained",
+                        std::to_string(totalSessions) +
+                            " live sessions exceed the fleet of " +
+                            std::to_string(config_.vehicles)});
     }
-
-    const std::uint32_t done = world->nextEpoch();
-    if (options.checkpointEvery > 0 && done % options.checkpointEvery == 0) {
-      const common::Bytes blob = world->saveCheckpoint();
-      ManifestEntry entry{done, checkpointFileName(done), blob.size(),
-                          codec::crc32(blob), options.config.seed};
-      const std::string path = options.checkpointDir + "/" + entry.file;
-      if (const auto wrote = codec::writeFileAtomic(path, blob); !wrote.ok()) {
-        result.violations.push_back(
-            {done, "checkpoint-write", path + ": " + wrote.error().detail});
-        break;
-      }
-      manifest.push_back(std::move(entry));
-      // Manifest strictly after the checkpoint file: a kill between the two
-      // leaves the manifest pointing at the previous complete checkpoint.
-      if (const auto wrote = writeManifest(options.checkpointDir, manifest);
-          !wrote.ok()) {
-        result.violations.push_back(
-            {done, "checkpoint-write", "manifest: " + wrote.error().detail});
-        break;
-      }
-      result.lastCheckpointPath = path;
-      narrate(options.log, "[megacity-soak] epoch " + std::to_string(done) +
-                               "/" + std::to_string(options.epochs) +
-                               " checkpoint " + manifest.back().file + " (" +
-                               std::to_string(manifest.back().bytes) +
-                               " bytes)");
-    }
+    return broken;
   }
 
-  world->finish();
-  result.endEpoch = world->nextEpoch();
-  result.metricsJson = world->metricsJson();
-  result.canonicalLog = world->canonicalLog();
-  if (options.stopAfter > 0 && result.endEpoch < options.epochs &&
-      result.violations.empty()) {
-    narrate(options.log, "[megacity-soak] stopped after epoch " +
-                             std::to_string(result.endEpoch) +
-                             " (emulated kill)");
-  }
-  return result;
-}
+  std::uint64_t seed() const override { return config_.seed; }
 
-MegacitySoakResult runChaos(const MegacitySoakOptions& options,
-                            sim::ThreadPool& pool) {
-  MegacitySoakResult result;
-  if (options.epochs < 2) {
-    result.violations.push_back(
-        {0, "kill-resume-identity", "chaos mode needs at least 2 epochs"});
-    return result;
-  }
-  if (options.checkpointDir.empty()) {
-    result.violations.push_back(
-        {0, "kill-resume-identity",
-         "checkpointDir is required for chaos mode"});
-    return result;
+  std::string replayRecipe(std::uint64_t epochs) const override {
+    return "replay: soak_run --megacity --megacity-seed " +
+           std::to_string(config_.seed) + " --segments " +
+           std::to_string(config_.segments) + " --vehicles " +
+           std::to_string(config_.vehicles) + " --shards " +
+           std::to_string(shards_) + " --epochs " + std::to_string(epochs);
   }
 
-  // Uninterrupted reference run: its surfaces are the ground truth every
-  // kill/resume cycle must reproduce byte for byte.
-  MegacitySoakOptions reference = options;
-  reference.chaosKills = 0;
-  reference.checkpointEvery = 0;
-  reference.checkpointDir.clear();
-  reference.resume = false;
-  reference.stopAfter = 0;
-  result = runOnce(reference, pool);
-  if (!result.passed()) return result;
-
-  const std::uint32_t every =
-      options.checkpointEvery > 0 ? options.checkpointEvery : 1;
-  if (options.epochs <= every) {
-    result.violations.push_back(
-        {0, "kill-resume-identity",
-         "chaos mode needs epochs > checkpointEvery so a checkpoint exists "
-         "before every kill"});
-    return result;
-  }
-  for (std::uint32_t kill = 0; kill < options.chaosKills; ++kill) {
-    // Hashed kill epoch in [every, epochs-1]: at least one checkpoint lands
-    // before the kill (the kill may still fall between checkpoints, so the
-    // resume re-runs the uncheckpointed tail) and at least one epoch runs
-    // after the resume.
-    const std::uint64_t h = common::mixAddress(
-        options.config.seed ^ ((kill + 1) * 0x9e3779b97f4a7c15ull));
-    const std::uint32_t killEpoch =
-        every + static_cast<std::uint32_t>(h % (options.epochs - every));
-
-    MegacitySoakOptions cut = options;
-    cut.chaosKills = 0;
-    cut.checkpointEvery = every;
-    cut.checkpointDir =
-        options.checkpointDir + "/kill-" + std::to_string(kill);
-    cut.resume = false;
-    cut.stopAfter = killEpoch;
-    narrate(options.log, "[megacity-soak] chaos kill " +
-                             std::to_string(kill + 1) + "/" +
-                             std::to_string(options.chaosKills) +
-                             " at epoch " + std::to_string(killEpoch));
-    const MegacitySoakResult interrupted = runOnce(cut, pool);
-    if (!interrupted.passed()) {
-      result.violations = interrupted.violations;
-      return result;
-    }
-
-    MegacitySoakOptions resumed = cut;
-    resumed.resume = true;
-    resumed.stopAfter = 0;
-    const MegacitySoakResult continued = runOnce(resumed, pool);
-    if (!continued.passed()) {
-      result.violations = continued.violations;
-      return result;
-    }
-    if (continued.metricsJson != result.metricsJson ||
-        continued.canonicalLog != result.canonicalLog) {
-      result.violations.push_back(
-          {killEpoch, "kill-resume-identity",
-           "resumed surfaces differ from the uninterrupted run (" +
-               replayRecipe(options, options.epochs) + " --checkpoint-every " +
-               std::to_string(every) + " --stop-after " +
-               std::to_string(killEpoch) + ", then --resume)"});
-      return result;
-    }
-  }
-  return result;
-}
+ private:
+  scenario::CorridorConfig config_;
+  std::uint32_t shards_;
+  scenario::CorridorWorld world_;
+};
 
 }  // namespace
 
-std::vector<std::string> checkCorridorInvariants(
-    const scenario::CorridorConfig& config,
-    const scenario::CorridorWorld& world) {
-  std::vector<std::string> broken;
-  std::size_t totalSessions = 0;
-  world.forEachSegment([&](std::uint32_t segment,
-                           const std::vector<common::Address>& isolated,
-                           const core::LiteDetector& detector) {
-    for (const common::Address address : isolated) {
-      const bool isVehicle =
-          address.value() >= scenario::kVehicleAddressBase &&
-          address.value() <
-              scenario::kVehicleAddressBase + config.vehicles;
-      const auto id = static_cast<std::uint32_t>(
-          address.value() - scenario::kVehicleAddressBase);
-      if (!isVehicle || !scenario::vehicleSpec(config, id).attacker) {
-        broken.push_back("honest-isolation: segment " +
-                         std::to_string(segment) + " isolated " +
-                         std::to_string(address.value()) +
-                         " which is not a scripted attacker");
-      }
-    }
-    totalSessions += detector.activeSessions();
-    detector.forEachSession([&](const core::LiteSessionState& session) {
-      if (session.probesSent > config.detector.maxProbes ||
-          session.forwards > config.detector.maxForwards ||
-          session.violations >= config.detector.probesToConfirm) {
-        broken.push_back(
-            "tables-drained: segment " + std::to_string(segment) +
-            " session for " + std::to_string(session.suspect.value()) +
-            " exceeds its budgets (probes " +
-            std::to_string(session.probesSent) + ", forwards " +
-            std::to_string(session.forwards) + ", violations " +
-            std::to_string(session.violations) + ")");
-      }
-    });
-  });
-  if (totalSessions > config.vehicles) {
-    broken.push_back("tables-drained: " + std::to_string(totalSessions) +
-                     " live sessions exceed the fleet of " +
-                     std::to_string(config.vehicles));
-  }
-  return broken;
-}
-
-MegacitySoakResult runMegacitySoak(const MegacitySoakOptions& options,
-                                   sim::ThreadPool& pool) {
-  if (options.chaosKills > 0) return runChaos(options, pool);
-  return runOnce(options, pool);
+WorldFactory corridorWorlds(const scenario::CorridorConfig& config,
+                            std::uint32_t shards, sim::ThreadPool& pool) {
+  return [config, shards, &pool] {
+    return std::make_unique<CorridorSoakWorld>(config, shards, pool);
+  };
 }
 
 }  // namespace blackdp::soak

@@ -1,81 +1,30 @@
-// Megacity soak: kill/resume chaos for the sharded corridor.
+// The sharded megacity corridor as a soak world (see
+// soak/checkpointed_run.hpp for the driver, the checkpoint directory, the
+// manifest and chaos mode).
 //
-// Drives a CorridorWorld epoch by epoch, optionally writing a BDPC
-// checkpoint every K epoch boundaries into the same manifest.jsonl layout
-// the stream soak uses (file atomically BEFORE manifest, torn trailing
-// lines skipped on read), and optionally resuming from the newest manifest
-// entry. Because CorridorWorld's restore is byte-identical, a resumed run's
-// merged metrics JSON and canonical per-segment log equal an uninterrupted
-// run's — the chaos mode proves it end to end: for each scripted kill it
-// runs cut-at-a-hashed-epoch + resume and byte-compares both surfaces
-// against an uninterrupted reference run.
-//
+// Its surfaces are the merged metrics JSON and the canonical per-segment
+// log, both partition-invariant, rendered after CorridorWorld::finish().
 // Every epoch boundary runs the corridor hard invariants:
 //   honest-isolation  every isolated address belongs to a scripted attacker
-//                     (vehicleSpec(seed, id).attacker) — the detector never
+//                     (vehicleSpec(seed, id).attacker): the detector never
 //                     convicts an honest vehicle;
 //   tables-drained    every live detection session respects its budgets
 //                     (probesSent <= maxProbes, forwards <= maxForwards,
 //                     violations < probesToConfirm) and the total session
 //                     count never exceeds the fleet.
-// A violation fails fast and carries the deterministic replay recipe
-// (seed + epoch) in its detail.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
-#include <vector>
 
 #include "scenario/corridor_world.hpp"
 #include "sim/thread_pool.hpp"
-#include "soak/stream_soak.hpp"
+#include "soak/checkpointed_run.hpp"
 
 namespace blackdp::soak {
 
-struct MegacitySoakOptions {
-  scenario::CorridorConfig config{};
-  std::uint32_t shards{4};
-  /// Total epochs the run should reach (absolute — a resumed run counts the
-  /// epochs already in the checkpoint towards this target).
-  std::uint32_t epochs{8};
-  /// Checkpoint every K epoch boundaries (0 = never checkpoint).
-  std::uint32_t checkpointEvery{0};
-  /// Directory for checkpoints + manifest. Required when checkpointEvery > 0
-  /// or resume is set; created if missing.
-  std::string checkpointDir{};
-  /// Rebuild from the newest manifest entry in checkpointDir and continue.
-  bool resume{false};
-  /// Emulated kill: exit cleanly once this many epochs ran (0 = run to
-  /// `epochs`). Checkpoints written up to that point stay valid.
-  std::uint32_t stopAfter{0};
-  /// Run the corridor hard invariants at every epoch boundary.
-  bool checkInvariants{true};
-  /// Chaos mode: run an uninterrupted reference, then this many
-  /// cut-at-a-hashed-epoch + resume cycles (each in its own subdirectory of
-  /// checkpointDir), byte-comparing the final surfaces each time.
-  std::uint32_t chaosKills{0};
-  /// Progress narration (nullptr = silent).
-  std::ostream* log{nullptr};
-};
-
-struct MegacitySoakResult {
-  std::uint32_t startEpoch{0};  ///< 0, or the resumed checkpoint's epoch
-  std::uint32_t endEpoch{0};    ///< epochs held by the world at exit
-  std::string metricsJson;      ///< merged metrics surface at exit
-  std::string canonicalLog;     ///< canonical per-segment log at exit
-  std::string lastCheckpointPath;
-  std::vector<StreamSoakViolation> violations;
-
-  [[nodiscard]] bool passed() const { return violations.empty(); }
-};
-
-[[nodiscard]] MegacitySoakResult runMegacitySoak(
-    const MegacitySoakOptions& options, sim::ThreadPool& pool);
-
-/// The epoch-boundary hard invariants, exposed for tests. Empty = healthy.
-[[nodiscard]] std::vector<std::string> checkCorridorInvariants(
-    const scenario::CorridorConfig& config,
-    const scenario::CorridorWorld& world);
+/// Builds fresh corridor worlds on `pool`, which must outlive every run.
+[[nodiscard]] WorldFactory corridorWorlds(
+    const scenario::CorridorConfig& config, std::uint32_t shards,
+    sim::ThreadPool& pool);
 
 }  // namespace blackdp::soak

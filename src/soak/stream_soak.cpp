@@ -1,265 +1,120 @@
 #include "soak/stream_soak.hpp"
 
-#include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <memory>
-#include <optional>
-#include <ostream>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <utility>
 #include <vector>
 
 #include "codec/checkpoint.hpp"
-#include "obs/json.hpp"
 
 namespace blackdp::soak {
 
 namespace {
 
-void narrate(std::ostream* log, const std::string& line) {
-  if (log != nullptr) *log << line << '\n';
-}
+class StreamSoakWorld final : public SoakWorld {
+ public:
+  StreamSoakWorld(const scenario::StreamConfig& config, std::string tracePath)
+      : world_{config}, tracePath_{std::move(tracePath)} {}
 
-}  // namespace
+  std::uint64_t nextEpoch() const override { return world_.nextEpoch(); }
 
-std::string encodeManifestEntry(const ManifestEntry& entry) {
-  std::string out = "{\"epoch\":";
-  obs::appendJsonNumber(out, entry.epoch);
-  out += ",\"file\":";
-  obs::appendJsonString(out, entry.file);
-  out += ",\"bytes\":";
-  obs::appendJsonNumber(out, entry.bytes);
-  out += ",\"crc32\":";
-  obs::appendJsonNumber(out, entry.crc32);
-  out += ",\"seed\":";
-  obs::appendJsonNumber(out, entry.seed);
-  out += "}";
-  return out;
-}
-
-common::Status writeManifest(const std::string& checkpointDir,
-                             const std::vector<ManifestEntry>& entries) {
-  std::string text;
-  for (const ManifestEntry& entry : entries) {
-    text += encodeManifestEntry(entry);
-    text += '\n';
-  }
-  return codec::writeFileAtomic(
-      manifestPath(checkpointDir),
-      {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()});
-}
-
-namespace {
-
-/// Rebuilds `world` from the newest manifest entry. The manifest entry is
-/// verified against the file (size + CRC) before the envelope's own checks
-/// run, so a torn or swapped checkpoint is caught with a precise message.
-std::optional<StreamSoakViolation> resumeWorld(
-    const StreamSoakOptions& options, scenario::StreamWorld& world,
-    std::vector<ManifestEntry>& manifest, std::string& resumedPath) {
-  manifest = readManifest(options.checkpointDir);
-  if (manifest.empty()) {
-    return StreamSoakViolation{
-        0, "checkpoint-resume",
-        "no usable manifest entry in " + options.checkpointDir};
-  }
-  const ManifestEntry& entry = manifest.back();
-  if (entry.seed != options.stream.seed) {
-    return StreamSoakViolation{
-        entry.epoch, "checkpoint-resume",
-        "manifest seed " + std::to_string(entry.seed) +
-            " != configured seed " + std::to_string(options.stream.seed)};
-  }
-  const std::string path = options.checkpointDir + "/" + entry.file;
-  const auto blob = codec::readFile(path);
-  if (!blob.ok()) {
-    return StreamSoakViolation{entry.epoch, "checkpoint-resume",
-                               path + ": " + blob.error().detail};
-  }
-  if (blob.value().size() != entry.bytes) {
-    return StreamSoakViolation{
-        entry.epoch, "checkpoint-resume",
-        path + ": size " + std::to_string(blob.value().size()) +
-            " != manifest bytes " + std::to_string(entry.bytes)};
-  }
-  if (codec::crc32(blob.value()) != entry.crc32) {
-    return StreamSoakViolation{entry.epoch, "checkpoint-resume",
-                               path + ": CRC mismatch vs manifest"};
-  }
-  if (const auto restored = world.restoreCheckpoint(blob.value());
-      !restored.ok()) {
-    return StreamSoakViolation{
-        entry.epoch, "checkpoint-resume",
-        path + ": " + restored.error().code + ": " + restored.error().detail};
-  }
-  resumedPath = path;
-  return std::nullopt;
-}
-
-}  // namespace
-
-std::string manifestPath(const std::string& checkpointDir) {
-  return checkpointDir + "/manifest.jsonl";
-}
-
-std::string checkpointFileName(std::uint64_t epoch) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "ckpt-%06llu.bdpc",
-                static_cast<unsigned long long>(epoch));
-  return buf;
-}
-
-std::vector<ManifestEntry> readManifest(const std::string& checkpointDir) {
-  std::vector<ManifestEntry> entries;
-  const auto data = codec::readFile(manifestPath(checkpointDir));
-  if (!data.ok()) return entries;
-  std::string_view text{reinterpret_cast<const char*>(data.value().data()),
-                        data.value().size()};
-  while (!text.empty()) {
-    const std::size_t newline = text.find('\n');
-    const std::string_view line = text.substr(0, newline);
-    text = newline == std::string_view::npos ? std::string_view{}
-                                             : text.substr(newline + 1);
-    if (line.empty()) continue;
-    const auto object = obs::FlatJsonObject::parse(line);
-    if (!object) continue;  // torn trailing line from a kill mid-write
-    const auto epoch = object->u64("epoch");
-    const auto file = object->string("file");
-    const auto bytes = object->u64("bytes");
-    const auto crc = object->u64("crc32");
-    const auto seed = object->u64("seed");
-    if (!epoch || !file || !bytes || !crc || !seed) continue;
-    entries.push_back({*epoch, std::string{*file}, *bytes, *crc, *seed});
-  }
-  return entries;
-}
-
-StreamSoakResult runStreamSoak(const StreamSoakOptions& options) {
-  StreamSoakResult result;
-  const bool usesCheckpointDir = options.checkpointEvery > 0 || options.resume;
-  if (usesCheckpointDir) {
-    if (options.checkpointDir.empty()) {
-      result.violations.push_back(
-          {0, "checkpoint-write",
-           "checkpointDir is required when checkpointing or resuming"});
-      return result;
+  common::Status runEpoch() override {
+    if (!tracePath_.empty() && !trace_.is_open()) {
+      if (auto opened = openTrace(); !opened.ok()) return opened;
     }
-    std::error_code ec;
-    std::filesystem::create_directories(options.checkpointDir, ec);
-    if (ec) {
-      result.violations.push_back(
-          {0, "checkpoint-write",
-           options.checkpointDir + ": " + ec.message()});
-      return result;
-    }
-  }
-
-  auto world = std::make_unique<scenario::StreamWorld>(options.stream);
-  std::vector<ManifestEntry> manifest;
-  if (options.resume) {
-    std::string resumedPath;
-    if (auto violation = resumeWorld(options, *world, manifest, resumedPath)) {
-      result.violations.push_back(std::move(*violation));
-      return result;
-    }
-    result.lastCheckpointPath = resumedPath;
-    narrate(options.log, "[stream-soak] resumed at epoch " +
-                             std::to_string(world->nextEpoch()) + " from " +
-                             resumedPath);
-  }
-  result.startEpoch = world->nextEpoch();
-
-  std::ofstream trace;
-  if (!options.tracePath.empty()) {
-    trace.open(options.tracePath,
-               options.resume ? std::ios::app : std::ios::trunc);
-    if (!trace) {
-      result.violations.push_back({result.startEpoch, "trace-io",
-                                   "cannot open " + options.tracePath});
-      result.endEpoch = world->nextEpoch();
-      result.metricsJson = world->metrics().toJson();
-      return result;
-    }
-  }
-
-  const std::uint64_t target =
-      options.stopAfter > 0 ? std::min(options.epochs, options.stopAfter)
-                            : options.epochs;
-
-  while (world->nextEpoch() < target) {
-    const std::uint64_t epoch = world->nextEpoch();
-    const std::vector<scenario::InjectionSpec> specs = world->planEpoch(epoch);
-    if (trace.is_open()) {
+    const std::uint64_t epoch = world_.nextEpoch();
+    const std::vector<scenario::InjectionSpec> specs = world_.planEpoch(epoch);
+    if (trace_.is_open()) {
       std::string line;
       for (const scenario::InjectionSpec& spec : specs) {
         line.clear();
         scenario::appendInjectionJson(line, epoch, spec);
-        trace << line << '\n';
+        trace_ << line << '\n';
       }
     }
-    world->runEpochFromSpecs(specs);
+    world_.runEpochFromSpecs(specs);
+    return {};
+  }
 
-    if (options.checkInvariants) {
-      std::vector<std::string> broken = world->checkInvariants();
-      if (!broken.empty()) {
-        for (std::string& b : broken) {
-          result.violations.push_back(
-              {epoch, "memory-watermark",
-               std::move(b) + " (replay: soak_run --stream --stream-seed " +
-                   std::to_string(options.stream.seed) + " --epochs " +
-                   std::to_string(epoch + 1) + ")"});
+  common::Bytes saveCheckpoint() override {
+    if (trace_.is_open()) trace_.flush();
+    return world_.saveCheckpoint();
+  }
+
+  common::Status restoreCheckpoint(
+      std::span<const std::uint8_t> blob) override {
+    return world_.restoreCheckpoint(blob);
+  }
+
+  Surfaces surfaces() override {
+    if (trace_.is_open()) trace_.flush();
+    return {world_.metrics().toJson(), {}};
+  }
+
+  std::vector<RunViolation> invariants() const override {
+    std::vector<RunViolation> violations;
+    for (std::string& broken : world_.checkInvariants()) {
+      violations.push_back({0, "memory-watermark", std::move(broken)});
+    }
+    return violations;
+  }
+
+  std::uint64_t seed() const override { return world_.config().seed; }
+
+  std::string replayRecipe(std::uint64_t epochs) const override {
+    const scenario::StreamConfig& config = world_.config();
+    return "replay: soak_run --stream --stream-seed " +
+           std::to_string(config.seed) + " --clusters " +
+           std::to_string(config.clusters) + " --dreqs-per-epoch " +
+           std::to_string(config.dreqsPerEpoch) + " --epochs " +
+           std::to_string(epochs);
+  }
+
+ private:
+  common::Status openTrace() {
+    std::string kept;
+    if (const auto old = codec::readFile(tracePath_); old.ok()) {
+      std::string_view text{reinterpret_cast<const char*>(old.value().data()),
+                            old.value().size()};
+      // Only complete lines of epochs this world already holds survive; a
+      // torn last line from a kill mid-write has no newline and is dropped.
+      for (std::size_t newline = text.find('\n');
+           newline != std::string_view::npos; newline = text.find('\n')) {
+        const std::string_view line = text.substr(0, newline);
+        text.remove_prefix(newline + 1);
+        const auto parsed = scenario::parseInjectionJson(line);
+        if (parsed && parsed->first < world_.nextEpoch()) {
+          kept += line;
+          kept += '\n';
         }
-        break;  // fail fast: the watermark is a hard invariant
       }
     }
-
-    const std::uint64_t done = world->nextEpoch();
-    if (options.checkpointEvery > 0 && done % options.checkpointEvery == 0) {
-      const common::Bytes blob = world->saveCheckpoint();
-      ManifestEntry entry{done, checkpointFileName(done), blob.size(),
-                         codec::crc32(blob), options.stream.seed};
-      const std::string path = options.checkpointDir + "/" + entry.file;
-      if (const auto wrote = codec::writeFileAtomic(path, blob); !wrote.ok()) {
-        result.violations.push_back(
-            {done, "checkpoint-write", path + ": " + wrote.error().detail});
-        break;
-      }
-      manifest.push_back(std::move(entry));
-      // Manifest strictly after the checkpoint file: a kill between the two
-      // leaves the manifest pointing at the previous complete checkpoint.
-      if (const auto wrote = writeManifest(options.checkpointDir, manifest);
-          !wrote.ok()) {
-        result.violations.push_back(
-            {done, "checkpoint-write",
-             "manifest: " + wrote.error().detail});
-        break;
-      }
-      result.lastCheckpointPath = path;
-      narrate(options.log,
-              "[stream-soak] epoch " + std::to_string(done) + "/" +
-                  std::to_string(options.epochs) + " checkpoint " +
-                  manifest.back().file + " (" +
-                  std::to_string(manifest.back().bytes) + " bytes)");
-    } else if (done % 100 == 0) {
-      narrate(options.log, "[stream-soak] epoch " + std::to_string(done) +
-                               "/" + std::to_string(options.epochs));
+    if (const auto wrote = codec::writeFileAtomic(
+            tracePath_, {reinterpret_cast<const std::uint8_t*>(kept.data()),
+                         kept.size()});
+        !wrote.ok()) {
+      return common::Error{"trace-io",
+                           tracePath_ + ": " + wrote.error().detail};
     }
+    trace_.open(tracePath_, std::ios::app);
+    if (!trace_) return common::Error{"trace-io", "cannot open " + tracePath_};
+    return {};
   }
 
-  if (trace.is_open()) trace.flush();
-  result.endEpoch = world->nextEpoch();
-  result.metricsJson = world->metrics().toJson();
-  if (options.stopAfter > 0 && result.endEpoch < options.epochs &&
-      result.violations.empty()) {
-    narrate(options.log, "[stream-soak] stopped after epoch " +
-                             std::to_string(result.endEpoch) +
-                             " (emulated kill)");
-  }
-  return result;
+  scenario::StreamWorld world_;
+  std::string tracePath_;
+  std::ofstream trace_;
+};
+
+}  // namespace
+
+WorldFactory streamWorlds(const scenario::StreamConfig& config,
+                          const std::string& tracePath) {
+  return [config, tracePath] {
+    return std::make_unique<StreamSoakWorld>(config, tracePath);
+  };
 }
 
 }  // namespace blackdp::soak

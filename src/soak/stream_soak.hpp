@@ -1,111 +1,24 @@
-// Streaming soak with crash-consistent checkpointing (detector-as-a-service
-// counterpart to the chaos SoakRunner).
+// The stream detector service as a soak world (see soak/checkpointed_run.hpp
+// for the driver). Its hard invariant is the memory watermark
+// (StreamWorld::checkInvariants): every detector-service table stays under
+// its cap however many epochs stream through.
 //
-// Drives a StreamWorld for a configured number of epochs, optionally writing
-// a checkpoint every K epochs into a checkpoint directory with a JSONL
-// manifest, and optionally stopping early to emulate a kill. A later
-// invocation with `resume = true` rebuilds the world from the newest
-// manifest entry and continues — and because StreamWorld's restore is
-// byte-identical, the resumed run's metrics JSON and final checkpoint bytes
-// equal an uninterrupted run's (CI pins both).
-//
-// Layout of a checkpoint directory:
-//
-//   ckpt-000010.bdpc     checkpoint envelope at epoch boundary 10
-//   ckpt-000020.bdpc     ...
-//   manifest.jsonl       one line per checkpoint:
-//                        {"epoch":10,"file":"ckpt-000010.bdpc",
-//                         "bytes":N,"crc32":C,"seed":S}
-//
-// Crash-consistency contract: the checkpoint file is written atomically
-// (temp + rename) BEFORE the manifest is rewritten (also atomically), so a
-// kill at any instant leaves the manifest pointing at a complete, verified
-// checkpoint — at worst the previous one. scripts/validate_bench_json.py
-// re-verifies every manifest entry (file exists, size and binascii CRC
-// match) without linking the codec.
-//
-// Every epoch boundary runs the hard memory-watermark invariants
-// (StreamWorld::checkInvariants). A violation fails fast and carries the
-// deterministic replay recipe (seed + epoch) in its detail.
+// With a trace path, every injected d_req spec is recorded as JSONL for
+// tools/replay_serve. The first epoch a world runs rewrites the trace to the
+// lines of the epochs it already holds (none when fresh), so a resumed run
+// does not record the epochs between its checkpoint and the kill twice. The
+// trace is flushed before every checkpoint.
 #pragma once
 
-#include <cstdint>
-#include <iosfwd>
 #include <string>
-#include <vector>
 
-#include "common/result.hpp"
 #include "scenario/stream_world.hpp"
+#include "soak/checkpointed_run.hpp"
 
 namespace blackdp::soak {
 
-struct StreamSoakOptions {
-  scenario::StreamConfig stream{};
-  /// Total epochs the run should reach (absolute — a resumed run counts the
-  /// epochs already in the checkpoint towards this target).
-  std::uint64_t epochs{40};
-  /// Checkpoint every K epoch boundaries (0 = never checkpoint).
-  std::uint64_t checkpointEvery{0};
-  /// Directory for checkpoints + manifest. Required when checkpointEvery > 0
-  /// or resume is set; created if missing.
-  std::string checkpointDir{};
-  /// Rebuild from the newest manifest entry in checkpointDir and continue.
-  bool resume{false};
-  /// Emulated kill: exit cleanly once the world holds this many epochs
-  /// (0 = run to `epochs`). Checkpoints written up to that point stay valid.
-  std::uint64_t stopAfter{0};
-  /// Record every injected d_req spec as JSONL ("" = off). Appended when
-  /// resuming, truncated otherwise; feeds tools/replay_serve.
-  std::string tracePath{};
-  /// Run the memory-watermark invariants at every epoch boundary.
-  bool checkInvariants{true};
-  /// Progress narration (nullptr = silent).
-  std::ostream* log{nullptr};
-};
-
-/// One soak failure, replayable from (invariant, epoch, detail).
-struct StreamSoakViolation {
-  std::uint64_t epoch{0};
-  std::string invariant;  ///< "memory-watermark", "checkpoint-write",
-                          ///< "checkpoint-resume", "trace-io"
-  std::string detail;
-};
-
-/// One manifest.jsonl line, parsed.
-struct ManifestEntry {
-  std::uint64_t epoch{0};
-  std::string file;  ///< relative to the checkpoint directory
-  std::uint64_t bytes{0};
-  std::uint64_t crc32{0};
-  std::uint64_t seed{0};
-};
-
-[[nodiscard]] std::string manifestPath(const std::string& checkpointDir);
-/// Parses the manifest, skipping malformed lines (a torn trailing line from
-/// a kill mid-append is expected and harmless). Empty when absent.
-[[nodiscard]] std::vector<ManifestEntry> readManifest(
-    const std::string& checkpointDir);
-/// The checkpoint file name for an epoch boundary ("ckpt-%06llu.bdpc").
-[[nodiscard]] std::string checkpointFileName(std::uint64_t epoch);
-/// One manifest.jsonl line (shared by the stream and megacity soaks).
-[[nodiscard]] std::string encodeManifestEntry(const ManifestEntry& entry);
-/// Atomically rewrites the manifest — call strictly AFTER the checkpoint
-/// file itself landed, so a kill between the two leaves the manifest
-/// pointing at the previous complete checkpoint.
-[[nodiscard]] common::Status writeManifest(
-    const std::string& checkpointDir,
-    const std::vector<ManifestEntry>& entries);
-
-struct StreamSoakResult {
-  std::uint64_t startEpoch{0};  ///< 0, or the resumed checkpoint's epoch
-  std::uint64_t endEpoch{0};    ///< epochs held by the world at exit
-  std::string metricsJson;      ///< StreamMetrics::toJson at exit
-  std::string lastCheckpointPath;
-  std::vector<StreamSoakViolation> violations;
-
-  [[nodiscard]] bool passed() const { return violations.empty(); }
-};
-
-[[nodiscard]] StreamSoakResult runStreamSoak(const StreamSoakOptions& options);
+/// Builds fresh stream worlds; `tracePath` = "" records no trace.
+[[nodiscard]] WorldFactory streamWorlds(const scenario::StreamConfig& config,
+                                        const std::string& tracePath = {});
 
 }  // namespace blackdp::soak

@@ -1,9 +1,12 @@
 // Streaming detector-service mode: checkpoint/restore byte-identity
 // (including a kill-at-random-epoch torture loop), memory-watermark
 // invariants under flood, trace record/replay equivalence, and the
-// stream-soak harness's manifest + resume machinery.
+// checkpointed-run driver's manifest, resume and chaos machinery over both
+// soak worlds (stream and megacity corridor).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -14,6 +17,9 @@
 #include "obs/json.hpp"
 #include "scenario/stream_world.hpp"
 #include "sim/rng.hpp"
+#include "sim/thread_pool.hpp"
+#include "soak/checkpointed_run.hpp"
+#include "soak/megacity_soak.hpp"
 #include "soak/stream_soak.hpp"
 
 namespace blackdp {
@@ -192,16 +198,18 @@ TEST(StreamSoakTest, WatermarkHoldsUnderFloodAndEvictionActuallyRuns) {
             reporterCap * config.detector.hardening.ledger.nonceCacheMax);
 }
 
-// --- stream-soak harness (manifest, kill emulation, resume) -----------------
+// --- checkpointed-run driver, over both soak worlds -------------------------
 
-class StreamSoakHarnessTest : public ::testing::Test {
+// Per-test directory: ctest runs each case as its own concurrent process,
+// and a shared directory makes their SetUp remove_all race.
+class TempDirTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Per-test directory: ctest runs fixture cases as concurrent processes,
-    // and a shared directory makes their SetUp remove_all race.
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = std::filesystem::path{::testing::TempDir()} /
-           (std::string{"blackdp_stream_soak_"} + info->name());
+    std::string name = std::string{"blackdp_soak_"} + info->test_suite_name() +
+                       "_" + info->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    dir_ = std::filesystem::path{::testing::TempDir()} / name;
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }
@@ -214,13 +222,49 @@ class StreamSoakHarnessTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-TEST_F(StreamSoakHarnessTest, WritesCheckpointsWithAVerifiableManifest) {
-  soak::StreamSoakOptions options;
-  options.stream = smallConfig(11);
+}  // namespace
+
+// Outside the anonymous namespace so that ctest names each typed case
+// SoakDriverTest.<test><blackdp::StreamCase>, without a space-laden
+// "(anonymous namespace)" in the name.
+struct StreamCase {
+  static soak::WorldFactory world(std::uint64_t seed, sim::ThreadPool&) {
+    return soak::streamWorlds(smallConfig(seed));
+  }
+};
+
+struct CorridorCase {
+  static soak::WorldFactory world(std::uint64_t seed, sim::ThreadPool& pool) {
+    scenario::CorridorConfig config;
+    config.seed = seed;
+    config.segments = 8;
+    config.vehicles = 800;
+    return soak::corridorWorlds(config, 4, pool);
+  }
+};
+
+namespace {
+
+template <typename Case>
+class SoakDriverTest : public TempDirTest {
+ protected:
+  [[nodiscard]] soak::WorldFactory world(std::uint64_t seed) {
+    return Case::world(seed, pool_);
+  }
+
+  sim::ThreadPool pool_{2};
+};
+
+using SoakWorlds = ::testing::Types<StreamCase, CorridorCase>;
+TYPED_TEST_SUITE(SoakDriverTest, SoakWorlds);
+
+TYPED_TEST(SoakDriverTest, WritesCheckpointsWithAVerifiableManifest) {
+  soak::RunOptions options;
   options.epochs = 6;
   options.checkpointEvery = 2;
-  options.checkpointDir = sub("ckpts");
-  const soak::StreamSoakResult result = runStreamSoak(options);
+  options.checkpointDir = this->sub("ckpts");
+  const soak::RunResult result =
+      soak::runCheckpointed(options, this->world(11));
   ASSERT_TRUE(result.passed())
       << result.violations.front().invariant << ": "
       << result.violations.front().detail;
@@ -235,7 +279,7 @@ TEST_F(StreamSoakHarnessTest, WritesCheckpointsWithAVerifiableManifest) {
     ASSERT_TRUE(blob.ok()) << entry.file;
     EXPECT_EQ(blob.value().size(), entry.bytes);
     EXPECT_EQ(codec::crc32(blob.value()), entry.crc32);
-    EXPECT_EQ(entry.seed, options.stream.seed);
+    EXPECT_EQ(entry.seed, 11u);
     EXPECT_TRUE(codec::decodeCheckpoint(blob.value()).ok());
   }
   EXPECT_EQ(manifest.back().epoch, 6u);
@@ -243,101 +287,138 @@ TEST_F(StreamSoakHarnessTest, WritesCheckpointsWithAVerifiableManifest) {
             options.checkpointDir + "/" + manifest.back().file);
 }
 
-TEST_F(StreamSoakHarnessTest, KillAndResumeMatchesUninterruptedRun) {
-  soak::StreamSoakOptions uninterrupted;
-  uninterrupted.stream = smallConfig(12);
+TYPED_TEST(SoakDriverTest, KillAndResumeMatchesUninterruptedRun) {
+  soak::RunOptions uninterrupted;
   uninterrupted.epochs = 6;
   uninterrupted.checkpointEvery = 2;
-  uninterrupted.checkpointDir = sub("a");
-  const soak::StreamSoakResult full = runStreamSoak(uninterrupted);
+  uninterrupted.checkpointDir = this->sub("a");
+  const soak::RunResult full =
+      soak::runCheckpointed(uninterrupted, this->world(12));
   ASSERT_TRUE(full.passed());
 
-  soak::StreamSoakOptions killed = uninterrupted;
-  killed.checkpointDir = sub("b");
+  soak::RunOptions killed = uninterrupted;
+  killed.checkpointDir = this->sub("b");
   killed.stopAfter = 3;  // dies between checkpoints: epoch 3, last ckpt at 2
-  const soak::StreamSoakResult first = runStreamSoak(killed);
+  const soak::RunResult first = soak::runCheckpointed(killed, this->world(12));
   ASSERT_TRUE(first.passed());
   EXPECT_EQ(first.endEpoch, 3u);
 
-  soak::StreamSoakOptions resumed = killed;
+  soak::RunOptions resumed = killed;
   resumed.stopAfter = 0;
   resumed.resume = true;
-  const soak::StreamSoakResult second = runStreamSoak(resumed);
+  const soak::RunResult second =
+      soak::runCheckpointed(resumed, this->world(12));
   ASSERT_TRUE(second.passed());
   EXPECT_EQ(second.startEpoch, 2u);  // resumed from the epoch-2 checkpoint
   EXPECT_EQ(second.endEpoch, 6u);
 
-  EXPECT_EQ(second.metricsJson, full.metricsJson);
-  const auto a = codec::readFile(sub("a") + "/ckpt-000006.bdpc");
-  const auto b = codec::readFile(sub("b") + "/ckpt-000006.bdpc");
+  EXPECT_EQ(second.surfaces, full.surfaces);
+  const auto a = codec::readFile(this->sub("a") + "/ckpt-000006.bdpc");
+  const auto b = codec::readFile(this->sub("b") + "/ckpt-000006.bdpc");
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a.value(), b.value());
 }
 
-TEST_F(StreamSoakHarnessTest, ResumeWithMismatchedSeedFailsTyped) {
-  soak::StreamSoakOptions options;
-  options.stream = smallConfig(13);
+TYPED_TEST(SoakDriverTest, ResumeWithMismatchedSeedFailsTyped) {
+  soak::RunOptions options;
   options.epochs = 4;
   options.checkpointEvery = 2;
-  options.checkpointDir = sub("ckpts");
-  ASSERT_TRUE(runStreamSoak(options).passed());
+  options.checkpointDir = this->sub("ckpts");
+  ASSERT_TRUE(soak::runCheckpointed(options, this->world(13)).passed());
 
   options.resume = true;
-  options.stream.seed = 14;
-  const soak::StreamSoakResult result = runStreamSoak(options);
+  const soak::RunResult result =
+      soak::runCheckpointed(options, this->world(14));
+  ASSERT_FALSE(result.passed());
+  EXPECT_EQ(result.violations.front().invariant, "checkpoint-resume");
+  EXPECT_NE(result.violations.front().detail.find("seed"), std::string::npos);
+}
+
+TYPED_TEST(SoakDriverTest, ResumeFromEmptyDirFailsTyped) {
+  soak::RunOptions options;
+  options.epochs = 4;
+  options.resume = true;
+  options.checkpointDir = this->sub("nothing-here");
+  const soak::RunResult result =
+      soak::runCheckpointed(options, this->world(15));
   ASSERT_FALSE(result.passed());
   EXPECT_EQ(result.violations.front().invariant, "checkpoint-resume");
 }
 
-TEST_F(StreamSoakHarnessTest, ResumeFromEmptyDirFailsTyped) {
-  soak::StreamSoakOptions options;
-  options.stream = smallConfig(15);
-  options.epochs = 4;
-  options.resume = true;
-  options.checkpointDir = sub("nothing-here");
-  const soak::StreamSoakResult result = runStreamSoak(options);
-  ASSERT_FALSE(result.passed());
-  EXPECT_EQ(result.violations.front().invariant, "checkpoint-resume");
-}
-
-TEST_F(StreamSoakHarnessTest, TornManifestLineIsSkippedOnResume) {
-  soak::StreamSoakOptions options;
-  options.stream = smallConfig(16);
+// A kill mid-append leaves a torn, newline-less last manifest line. Resume
+// must skip it, and the entries it appends afterwards must not run into it:
+// every later line stays readable, and the external audit passes.
+TYPED_TEST(SoakDriverTest, TornManifestLineIsSkippedOnResume) {
+  soak::RunOptions options;
   options.epochs = 4;
   options.checkpointEvery = 2;
-  options.checkpointDir = sub("ckpts");
-  ASSERT_TRUE(runStreamSoak(options).passed());
+  options.checkpointDir = this->sub("ckpts");
+  ASSERT_TRUE(soak::runCheckpointed(options, this->world(16)).passed());
   {
-    // Emulate a kill mid-append: a torn, half-written trailing line.
     std::ofstream out{soak::manifestPath(options.checkpointDir),
                       std::ios::app};
     out << "{\"epoch\":99,\"file\":\"ckpt-0000";
   }
-  const std::vector<soak::ManifestEntry> manifest =
-      soak::readManifest(options.checkpointDir);
-  ASSERT_EQ(manifest.size(), 2u);
-  EXPECT_EQ(manifest.back().epoch, 4u);
+  ASSERT_EQ(soak::readManifest(options.checkpointDir).size(), 2u);
 
   options.resume = true;
-  options.epochs = 5;
-  const soak::StreamSoakResult result = runStreamSoak(options);
-  EXPECT_TRUE(result.passed());
+  options.epochs = 8;
+  const soak::RunResult result =
+      soak::runCheckpointed(options, this->world(16));
+  ASSERT_TRUE(result.passed());
   EXPECT_EQ(result.startEpoch, 4u);
+
+  const std::vector<soak::ManifestEntry> manifest =
+      soak::readManifest(options.checkpointDir);
+  ASSERT_EQ(manifest.size(), 4u);
+  for (std::size_t i = 0; i < manifest.size(); ++i) {
+    EXPECT_EQ(manifest[i].epoch, 2 * (i + 1));
+  }
+  const std::string audit =
+      "python3 " BLACKDP_SOURCE_DIR "/scripts/validate_bench_json.py " +
+      soak::manifestPath(options.checkpointDir) + " > /dev/null";
+  EXPECT_EQ(std::system(audit.c_str()), 0) << audit;
 }
 
+TYPED_TEST(SoakDriverTest, ChaosKillsMatchTheUninterruptedRun) {
+  soak::RunOptions options;
+  options.epochs = 6;
+  options.checkpointEvery = 2;
+  options.checkpointDir = this->sub("chaos");
+  options.chaosKills = 2;
+  const soak::RunResult chaos = soak::runCheckpointed(options, this->world(18));
+  ASSERT_TRUE(chaos.passed())
+      << chaos.violations.front().invariant << ": "
+      << chaos.violations.front().detail;
+  for (const char* kill : {"/kill-0", "/kill-1"}) {
+    EXPECT_FALSE(soak::readManifest(options.checkpointDir + kill).empty());
+  }
+
+  soak::RunOptions plain;
+  plain.epochs = 6;
+  EXPECT_EQ(soak::runCheckpointed(plain, this->world(18)).surfaces,
+            chaos.surfaces);
+}
+
+// --- stream soak: d_req trace recording ------------------------------------
+
+using StreamSoakHarnessTest = TempDirTest;
+
 TEST_F(StreamSoakHarnessTest, RecordedTraceReplaysToTheSameVerdictTimeline) {
-  soak::StreamSoakOptions options;
-  options.stream = smallConfig(17);
+  const scenario::StreamConfig config = smallConfig(17);
+  soak::RunOptions options;
   options.epochs = 5;
-  options.tracePath = sub("trace.jsonl");
-  const soak::StreamSoakResult result = runStreamSoak(options);
+  const std::string tracePath = sub("trace.jsonl");
+  const soak::RunResult result =
+      soak::runCheckpointed(options, soak::streamWorlds(config, tracePath));
   ASSERT_TRUE(result.passed());
-  const std::uint64_t recordedHash = metricsVerdictHash(result.metricsJson);
+  const std::uint64_t recordedHash =
+      metricsVerdictHash(result.surfaces.metricsJson);
 
   // Re-drive the recorded trace through a fresh world (what replay_serve
   // does) and require the identical verdict timeline hash.
-  std::ifstream in{options.tracePath};
+  std::ifstream in{tracePath};
   ASSERT_TRUE(in.is_open());
   std::vector<std::vector<scenario::InjectionSpec>> epochs(options.epochs);
   std::string line;
@@ -350,11 +431,41 @@ TEST_F(StreamSoakHarnessTest, RecordedTraceReplaysToTheSameVerdictTimeline) {
     ++lines;
   }
   EXPECT_EQ(lines, static_cast<std::size_t>(options.epochs) *
-                       options.stream.clusters * options.stream.dreqsPerEpoch);
+                       config.clusters * config.dreqsPerEpoch);
 
-  scenario::StreamWorld replayed{options.stream};
+  scenario::StreamWorld replayed{config};
   for (const auto& specs : epochs) replayed.runEpochFromSpecs(specs);
   EXPECT_EQ(replayed.metrics().verdictHash, recordedHash);
+}
+
+// The resumed run re-runs the epochs between its checkpoint and the kill;
+// they must not be recorded twice.
+TEST_F(StreamSoakHarnessTest, KilledAndResumedTraceEqualsUninterruptedTrace) {
+  const scenario::StreamConfig config = smallConfig(19);
+  soak::RunOptions options;
+  options.epochs = 6;
+  options.checkpointEvery = 2;
+  options.checkpointDir = sub("full");
+  ASSERT_TRUE(
+      soak::runCheckpointed(options,
+                            soak::streamWorlds(config, sub("full.jsonl")))
+          .passed());
+
+  const soak::WorldFactory cutWorlds =
+      soak::streamWorlds(config, sub("cut.jsonl"));
+  options.checkpointDir = sub("cut");
+  options.stopAfter = 3;
+  ASSERT_TRUE(soak::runCheckpointed(options, cutWorlds).passed());
+  options.stopAfter = 0;
+  options.resume = true;
+  ASSERT_TRUE(soak::runCheckpointed(options, cutWorlds).passed());
+
+  const auto full = codec::readFile(sub("full.jsonl"));
+  const auto cut = codec::readFile(sub("cut.jsonl"));
+  ASSERT_TRUE(full.ok());
+  ASSERT_TRUE(cut.ok());
+  EXPECT_FALSE(full.value().empty());
+  EXPECT_EQ(cut.value(), full.value());
 }
 
 }  // namespace
