@@ -2,11 +2,15 @@
 // overhead at the cluster head. Google-benchmark micro-benchmarks of every
 // cryptographic operation a CH performs per report, plus the verification-
 // table dedup factor under congestion (many vehicles reporting the same
-// suspect at once).
+// suspect at once). The d_req-sized benches time what every report costs the
+// CH; BENCH_ablation_overhead.json records which SHA-256 block function ran
+// ("crypto": {"sha256_block": "sha-ni" | "portable"}).
 #include <benchmark/benchmark.h>
 
+#include "core/messages.hpp"
 #include "core/secure.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_block.hpp"
 #include "obs/bench_json.hpp"
 #include "scenario/highway_scenario.hpp"
 
@@ -42,6 +46,59 @@ void BM_HmacSha256(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HmacSha256);
+
+/// One-shot HMAC over a d_req-sized message: key schedule plus two blocks.
+void BM_HmacSha256_48B(benchmark::State& state) {
+  const common::Bytes key(32, 0x42);
+  const common::Bytes data(48, 0x5A);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::hmacSha256(
+        std::span<const std::uint8_t>{key.data(), key.size()},
+        std::span<const std::uint8_t>{data.data(), data.size()}));
+  }
+}
+BENCHMARK(BM_HmacSha256_48B);
+
+core::DetectionRequest benchDreq(common::Address reporter) {
+  core::DetectionRequest dreq;
+  dreq.reporter = reporter;
+  dreq.reporterCluster = common::ClusterId{3};
+  dreq.suspect = common::Address{0x5678};
+  dreq.suspectCluster = common::ClusterId{4};
+  dreq.nonce = 0x9e3779b97f4a7c15ull;
+  return dreq;
+}
+
+void BM_SignDreq(benchmark::State& state) {
+  crypto::CryptoEngine engine{1};
+  const crypto::KeyPair keys = engine.generateKeyPair();
+  const common::Bytes body = benchDreq(common::Address{0x1234}).canonicalBytes();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.sign(
+        keys.priv, std::span<const std::uint8_t>{body.data(), body.size()}));
+  }
+}
+BENCHMARK(BM_SignDreq);
+
+/// What the CH does per received d_req: certificate check + signature.
+void BM_VerifyDreq(benchmark::State& state) {
+  sim::Simulator simulator;
+  crypto::CryptoEngine engine{1};
+  crypto::TaNetwork ta{simulator, engine};
+  const common::TaId taId = ta.addAuthority();
+  const crypto::Enrollment enrollment =
+      ta.enroll(taId, common::NodeId{1}).value();
+  const core::DetectionRequest dreq =
+      benchDreq(enrollment.certificate.pseudonym);
+  const common::Bytes body = dreq.canonicalBytes();
+  const std::optional<aodv::SecureEnvelope> envelope{core::makeEnvelope(
+      body, {enrollment.certificate, enrollment.privateKey}, engine)};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::verifyEnvelope(
+        body, envelope, dreq.reporter, ta, engine, simulator.now()));
+  }
+}
+BENCHMARK(BM_VerifyDreq);
 
 void BM_SignRrep(benchmark::State& state) {
   crypto::CryptoEngine engine{1};
@@ -162,7 +219,10 @@ void writeDedupMetrics(const obs::BenchTimer& timer) {
   registry.counter("overhead.dedup.reports_filed").add(filed);
   registry.counter("overhead.dedup.probes_sent").add(stats.probesSent);
   registry.counter("overhead.dedup.deduplicated").add(stats.dreqDeduplicated);
-  obs::writeBenchJson("ablation_overhead", registry.snapshot(), timer.info());
+  obs::BenchRunInfo info = timer.info();
+  info.addExtra("crypto", std::string{"{\"sha256_block\": \""} +
+                              crypto::detail::sha256BlockName() + "\"}");
+  obs::writeBenchJson("ablation_overhead", registry.snapshot(), info);
 }
 
 }  // namespace

@@ -12,9 +12,11 @@ Prints the wall-clock / throughput delta plus every deterministic metric
 then exits nonzero iff the candidate's frames_per_second dropped more than
 --max-regression percent below the baseline, (when the baseline records
 throughput.allocations_per_frame) the candidate's allocations_per_frame
-rose more than --max-alloc-increase above the baseline, or (when the
-baseline records a fault_tolerance sidecar) the candidate's checkpoint time
-exceeds --max-checkpoint-overhead percent of that leg's wall clock.
+rose more than --max-alloc-increase above the baseline, (when the baseline
+records the gauge stream.allocations_per_frame) the candidate's stream
+allocations per frame rose at all, or (when the baseline records a
+fault_tolerance sidecar) the candidate's checkpoint time exceeds
+--max-checkpoint-overhead percent of that leg's wall clock.
 
 Throughput and allocations gate; nothing else does. The deterministic
 `metrics` subtree is expected to be identical when both files come from the
@@ -26,7 +28,10 @@ catastrophic slowdowns — losing the spatial grid, an accidental O(n²) — not
 single-digit jitter. The allocation gate is tight (default 0.05
 allocs/frame) because allocation counts are deterministic, not wall-clock
 noise: a steady-state malloc sneaking back into the frame path is exactly
-the regression it exists to catch.
+the regression it exists to catch. The stream leg is not zero-allocation
+(d_req handling still builds canonical byte vectors), so its gate holds the
+committed count itself: any rise fails, and a fall is a reason to refresh
+the baseline.
 """
 
 import argparse
@@ -168,6 +173,29 @@ def main(argv):
             failed = True
         else:
             print("allocation gate: OK")
+
+    stream_gauge = "stream.allocations_per_frame"
+    b_stream = baseline["metrics"].get("gauges", {}).get(stream_gauge)
+    c_stream = candidate["metrics"].get("gauges", {}).get(stream_gauge)
+    if b_stream is None:
+        pass  # baseline has no stream leg; nothing to hold
+    elif c_stream is None:
+        print(f"FAIL: baseline records {stream_gauge} ({b_stream:.4f}) but "
+              "the candidate does not — the stream leg was lost",
+              file=sys.stderr)
+        failed = True
+    else:
+        print(f"{stream_gauge}: {b_stream:.4f} -> {c_stream:.4f} "
+              "(tolerance: no rise)")
+        # Deterministic counts over the same frame total; the epsilon only
+        # absorbs float printing.
+        if c_stream > b_stream + 1e-9:
+            print(f"FAIL: {stream_gauge} rose {c_stream - b_stream:.4f} — "
+                  "an allocation was added to the stream control plane",
+                  file=sys.stderr)
+            failed = True
+        else:
+            print("stream allocation gate: OK")
 
     b_ft = baseline.get("fault_tolerance")
     c_ft = candidate.get("fault_tolerance")

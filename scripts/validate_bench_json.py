@@ -65,6 +65,9 @@ wall_clock_seconds, checkpoints_written >= 1, shard_restarts == 1,
 envelopes_replayed >= 1 (the supervisor actually replayed something),
 crc_rejects == 0, and identical == true — a crashed-and-restarted shard
 must converge to the same deterministic surfaces.
+
+BENCH_ablation_overhead.json requires a "crypto" sidecar naming the SHA-256
+block function its timings ran on: {"sha256_block": "sha-ni" | "portable"}.
 """
 
 import binascii
@@ -243,6 +246,23 @@ def check_fault_tolerance(path, doc):
                    "run produced different deterministic surfaces")
 
 
+SHA256_BLOCK_FUNCTIONS = ("sha-ni", "portable")
+
+
+def check_crypto(path, doc):
+    if "crypto" not in doc:
+        fail(path, "bench ablation_overhead requires a 'crypto' sidecar")
+    crypto = doc["crypto"]
+    if not isinstance(crypto, dict):
+        fail(path, "'crypto' must be an object")
+    if set(crypto) != {"sha256_block"}:
+        fail(path, f"crypto must hold exactly 'sha256_block', got "
+                   f"{sorted(crypto)}")
+    if crypto["sha256_block"] not in SHA256_BLOCK_FUNCTIONS:
+        fail(path, f"crypto.sha256_block must be one of "
+                   f"{SHA256_BLOCK_FUNCTIONS}, got {crypto['sha256_block']!r}")
+
+
 def validate(path):
     try:
         doc = json.loads(path.read_text())
@@ -265,6 +285,8 @@ def validate(path):
     if doc["bench"] == "megacity":
         check_sharding(path, doc)
         check_fault_tolerance(path, doc)
+    if doc["bench"] == "ablation_overhead":
+        check_crypto(path, doc)
 
     metrics = doc["metrics"]
     if not isinstance(metrics, dict):

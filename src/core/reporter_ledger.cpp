@@ -9,6 +9,7 @@ bool ReporterLedger::admitAccusation(common::Address reporter,
                                      sim::TimePoint now) {
   Entry& e = entry(reporter);
   e.lastTouched = std::max(e.lastTouched, now);
+  noteTouched(e);
   if (e.quarantined) return false;
   while (!e.recent.empty() && now - e.recent.front() > config_.window) {
     e.recent.pop_front();
@@ -23,6 +24,7 @@ bool ReporterLedger::admitNonce(common::Address reporter, std::uint64_t nonce,
   if (nonce == 0) return true;
   Entry& e = entry(reporter);
   e.lastTouched = std::max(e.lastTouched, now);
+  noteTouched(e);
   if (!e.nonces.insert(nonce).second) return false;
   e.nonceOrder.push_back(nonce);
   if (e.nonceOrder.size() > config_.nonceCacheMax) {
@@ -34,6 +36,7 @@ bool ReporterLedger::admitNonce(common::Address reporter, std::uint64_t nonce,
 
 bool ReporterLedger::demerit(common::Address reporter) {
   Entry& e = entry(reporter);
+  noteTouched(e);
   ++e.demerits;
   if (!e.quarantined && e.demerits >= config_.demeritThreshold) {
     e.quarantined = true;
@@ -44,14 +47,23 @@ bool ReporterLedger::demerit(common::Address reporter) {
 
 void ReporterLedger::credit(common::Address reporter) {
   Entry& e = entry(reporter);
+  noteTouched(e);
   if (e.demerits > 0) --e.demerits;
 }
 
 std::size_t ReporterLedger::evictIdle(sim::TimePoint now) {
   if (config_.entryTtl == sim::Duration{}) return 0;
+  if (idleBound_ == kNoEntries || now - idleBound_ <= config_.entryTtl) {
+    return 0;
+  }
   std::size_t evicted = 0;
+  idleBound_ = kNoEntries;
   entries_.eraseIf([&](common::Address, const Entry& e) {
-    if (e.quarantined || now - e.lastTouched <= config_.entryTtl) return false;
+    if (e.quarantined) return false;
+    if (now - e.lastTouched <= config_.entryTtl) {
+      idleBound_ = std::min(idleBound_, e.lastTouched);
+      return false;
+    }
     ++evicted;
     return true;
   });
@@ -99,6 +111,7 @@ void ReporterLedger::saveState(common::ByteWriter& w) const {
 
 void ReporterLedger::restoreState(common::ByteReader& r) {
   entries_.clear();
+  idleBound_ = kNoEntries;
   const std::uint32_t count = r.readU32();
   for (std::uint32_t i = 0; i < count; ++i) {
     const common::Address reporter{r.readU64()};
@@ -116,6 +129,7 @@ void ReporterLedger::restoreState(common::ByteReader& r) {
     e.demerits = static_cast<int>(r.readI64());
     e.quarantined = r.readBool();
     e.lastTouched = sim::TimePoint::fromUs(r.readI64());
+    if (!e.quarantined) noteTouched(e);
     entries_[reporter] = std::move(e);
   }
 }

@@ -19,8 +19,10 @@
 // machine is property-testable in isolation.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <unordered_set>
 
 #include "common/address_registry.hpp"
@@ -99,9 +101,21 @@ class ReporterLedger {
 
   Entry& entry(common::Address reporter) { return entries_[reporter]; }
 
+  /// Lowers the idle bound to `e`'s clock after a touch or a creation.
+  void noteTouched(const Entry& e) {
+    idleBound_ = std::min(idleBound_, e.lastTouched);
+  }
+
   ReporterLedgerConfig config_;
   /// Dense-slot map: the per-d_req rate/replay checks probe once and index.
   common::DenseAddressMap<Entry> entries_;
+  /// Lower bound on every non-quarantined entry's lastTouched (the maximum
+  /// time point when there is none). lastTouched only grows, so the bound
+  /// holds until the next full walk recomputes it; while now - bound <=
+  /// entryTtl nothing can be idle and evictIdle skips the walk.
+  sim::TimePoint idleBound_{kNoEntries};
+  static constexpr sim::TimePoint kNoEntries =
+      sim::TimePoint::fromUs(std::numeric_limits<std::int64_t>::max());
 };
 
 }  // namespace blackdp::core

@@ -6,6 +6,7 @@
 // signature, the expiry, and the revocation status.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "common/bytes.hpp"
@@ -24,8 +25,15 @@ struct Certificate {
   common::TaId issuer{};
   Signature issuerSignature{};    ///< TA signature over tbsBytes()
 
-  /// Canonical "to be signed" encoding (everything except the signature).
-  [[nodiscard]] common::Bytes tbsBytes() const;
+  /// Length of tbsBytes(): "cert-v1" (u32 length + 7 bytes), pseudonym,
+  /// key id, serial, issuedAt, expiresAt (u64 each) and issuer (u32).
+  static constexpr std::size_t kTbsSize = 4 + 7 + 5 * 8 + 4;
+  using TbsBytes = std::array<std::uint8_t, kTbsSize>;
+
+  /// Canonical "to be signed" encoding (everything except the signature),
+  /// the same bytes common::ByteWriter would produce, built on the stack:
+  /// every received secure packet checks one.
+  [[nodiscard]] TbsBytes tbsBytes() const;
 
   [[nodiscard]] bool isExpired(sim::TimePoint now) const {
     return now >= expiresAt;

@@ -4,8 +4,7 @@
 
 namespace blackdp::crypto {
 
-Digest hmacSha256(std::span<const std::uint8_t> key,
-                  std::span<const std::uint8_t> message) {
+HmacKey::HmacKey(std::span<const std::uint8_t> key) {
   constexpr std::size_t kBlockSize = 64;
 
   // Keys longer than the block size are hashed first.
@@ -17,22 +16,32 @@ Digest hmacSha256(std::span<const std::uint8_t> key,
     std::copy(key.begin(), key.end(), keyBlock.begin());
   }
 
-  std::array<std::uint8_t, kBlockSize> ipad;
-  std::array<std::uint8_t, kBlockSize> opad;
+  std::array<std::uint8_t, kBlockSize> pad;
   for (std::size_t i = 0; i < kBlockSize; ++i) {
-    ipad[i] = static_cast<std::uint8_t>(keyBlock[i] ^ 0x36);
-    opad[i] = static_cast<std::uint8_t>(keyBlock[i] ^ 0x5c);
+    pad[i] = static_cast<std::uint8_t>(keyBlock[i] ^ 0x36);
   }
+  inner_ = detail::kSha256Initial;
+  detail::sha256Block(inner_, pad.data());
+  for (std::size_t i = 0; i < kBlockSize; ++i) {
+    pad[i] = static_cast<std::uint8_t>(keyBlock[i] ^ 0x5c);
+  }
+  outer_ = detail::kSha256Initial;
+  detail::sha256Block(outer_, pad.data());
+}
 
-  Sha256 inner;
-  inner.update(std::span<const std::uint8_t>{ipad.data(), ipad.size()});
+Digest HmacKey::mac(std::span<const std::uint8_t> message) const {
+  Sha256 inner{inner_, 1};
   inner.update(message);
   const Digest innerDigest = inner.finish();
 
-  Sha256 outer;
-  outer.update(std::span<const std::uint8_t>{opad.data(), opad.size()});
+  Sha256 outer{outer_, 1};
   outer.update(std::span<const std::uint8_t>{innerDigest.data(), innerDigest.size()});
   return outer.finish();
+}
+
+Digest hmacSha256(std::span<const std::uint8_t> key,
+                  std::span<const std::uint8_t> message) {
+  return HmacKey{key}.mac(message);
 }
 
 Digest hmacSha256(std::string_view key, std::string_view message) {

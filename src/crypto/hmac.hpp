@@ -2,6 +2,11 @@
 //
 // Used by the simulated signature scheme and by the Sachan-style HMAC
 // authentication baseline; validated against RFC 4231 test vectors.
+//
+// An HmacKey is the key schedule of RFC 2104 §4: the SHA-256 chaining values
+// left after absorbing K⊕ipad and K⊕opad, computed once per key. Each MAC
+// then resumes from them, so a message of up to 55 bytes costs two block
+// compressions instead of four. The MACs are the plain RFC 2104 values.
 #pragma once
 
 #include <span>
@@ -10,6 +15,19 @@
 #include "crypto/sha256.hpp"
 
 namespace blackdp::crypto {
+
+class HmacKey {
+ public:
+  /// The empty key's schedule, as carried by an unissued PrivateKey.
+  HmacKey() : HmacKey{std::span<const std::uint8_t>{}} {}
+  explicit HmacKey(std::span<const std::uint8_t> key);
+
+  [[nodiscard]] Digest mac(std::span<const std::uint8_t> message) const;
+
+ private:
+  detail::Sha256State inner_{};  ///< after K⊕ipad
+  detail::Sha256State outer_{};  ///< after K⊕opad
+};
 
 [[nodiscard]] Digest hmacSha256(std::span<const std::uint8_t> key,
                                 std::span<const std::uint8_t> message);

@@ -4,12 +4,17 @@
 // properties of ECDSA matter: (1) a signature verifies against the matching
 // public key, and (2) nobody can produce a valid signature without the
 // private key. We model this with HMAC-SHA-256 under a per-key secret seed.
-// The CryptoEngine owns the key-id → seed mapping and stands in for "the
-// math": verification resolves the seed through the engine, while signing
+// The CryptoEngine owns the key-id → key mapping and stands in for "the
+// math": verification resolves the key through the engine, while signing
 // requires possession of the PrivateKey object. No modelled adversary can
 // reach another node's PrivateKey, so unforgeability holds exactly as it
 // would with ECDSA. Signing/verification *cost* is modelled separately as a
 // configurable latency (see CryptoCosts).
+//
+// Neither side keeps the raw seed: a PrivateKey and the engine's registry
+// both hold the seed's HMAC key schedule (HmacKey, its ipad/opad blocks
+// hashed once at key generation), so each sign or verify is two SHA-256
+// block compressions for a short message.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +46,7 @@ class PrivateKey {
  private:
   friend class CryptoEngine;
   std::uint64_t keyId_{0};
-  std::array<std::uint8_t, 32> seed_{};
+  HmacKey key_{};
 };
 
 struct KeyPair {
@@ -89,12 +94,12 @@ class CryptoEngine {
 
   [[nodiscard]] const CryptoCosts& costs() const { return costs_; }
 
-  [[nodiscard]] std::size_t registeredKeys() const { return seeds_.size(); }
+  [[nodiscard]] std::size_t registeredKeys() const { return keys_.size(); }
 
  private:
   sim::Rng rng_;
   CryptoCosts costs_;
-  std::unordered_map<std::uint64_t, std::array<std::uint8_t, 32>> seeds_;
+  std::unordered_map<std::uint64_t, HmacKey> keys_;
 };
 
 }  // namespace blackdp::crypto

@@ -51,9 +51,7 @@ common::Result<Enrollment> TaNetwork::issue(TrustedAuthority& ta,
   cert.issuedAt = simulator_.now();
   cert.expiresAt = simulator_.now() + config_.certificateLifetime;
   cert.issuer = ta.id();
-  const common::Bytes tbs = cert.tbsBytes();
-  cert.issuerSignature = engine_.sign(
-      ta.keys_.priv, std::span<const std::uint8_t>{tbs.data(), tbs.size()});
+  cert.issuerSignature = engine_.sign(ta.keys_.priv, cert.tbsBytes());
 
   ta.latestCert_[node] = cert;
   ta.pseudonymOwner_[pseudonym] = node;
@@ -112,9 +110,7 @@ bool TaNetwork::validateCertificate(const Certificate& cert,
   if (cert.isExpired(now)) return false;
   for (const auto& ta : authorities_) {
     if (ta->id() != cert.issuer) continue;
-    const common::Bytes tbs = cert.tbsBytes();
-    return engine_.verify(ta->publicKey(),
-                          std::span<const std::uint8_t>{tbs.data(), tbs.size()},
+    return engine_.verify(ta->publicKey(), cert.tbsBytes(),
                           cert.issuerSignature);
   }
   return false;  // unknown issuer

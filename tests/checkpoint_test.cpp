@@ -172,11 +172,14 @@ TEST(CheckpointCorruptionTest, CrcMatchesBytewiseReferenceAtEveryLengthAndOffset
 
 // --- atomic file writes ----------------------------------------------------
 
+// Per-test directory: ctest runs each case as its own concurrent process,
+// and a shared directory makes their SetUp remove_all race.
 class AtomicWriteTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = std::filesystem::path{::testing::TempDir()} /
-           "blackdp_checkpoint_test";
+           (std::string{"blackdp_checkpoint_test_"} +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

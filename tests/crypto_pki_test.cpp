@@ -287,7 +287,7 @@ TEST(CertificateTest, TbsBytesExcludeSignature) {
   TaNetwork ta{simulator, engine};
   const common::TaId taId = ta.addAuthority();
   auto cert = ta.enroll(taId, common::NodeId{1}).value().certificate;
-  const common::Bytes before = cert.tbsBytes();
+  const Certificate::TbsBytes before = cert.tbsBytes();
   cert.issuerSignature.mac[0] ^= 0xff;
   EXPECT_EQ(cert.tbsBytes(), before);
 }
@@ -298,9 +298,33 @@ TEST(CertificateTest, TbsBytesCoverIdentityFields) {
   TaNetwork ta{simulator, engine};
   const common::TaId taId = ta.addAuthority();
   auto cert = ta.enroll(taId, common::NodeId{1}).value().certificate;
-  const common::Bytes before = cert.tbsBytes();
+  const Certificate::TbsBytes before = cert.tbsBytes();
   cert.pseudonym = common::Address{4242};
   EXPECT_NE(cert.tbsBytes(), before);
+}
+
+TEST(CertificateTest, TbsBytesMatchCanonicalWriterEncoding) {
+  // tbsBytes() is built on the stack; it must be exactly what the canonical
+  // ByteWriter encoding of the same fields gives (what the TA has always
+  // signed), including for values with every byte set.
+  Certificate cert;
+  cert.pseudonym = common::Address{0x0102030405060708ull};
+  cert.subjectKey = PublicKey{0xfedcba9876543210ull};
+  cert.serial = common::CertSerial{0x8000000000000001ull};
+  cert.issuedAt = sim::TimePoint::fromUs(-5);
+  cert.expiresAt = sim::TimePoint::fromUs(0x7fffffffffffffffll);
+  cert.issuer = common::TaId{0xa1b2c3d4u};
+
+  common::ByteWriter w;
+  w.writeString("cert-v1");
+  w.writeId(cert.pseudonym);
+  w.writeU64(cert.subjectKey.keyId);
+  w.writeId(cert.serial);
+  w.writeI64(cert.issuedAt.us());
+  w.writeI64(cert.expiresAt.us());
+  w.writeId(cert.issuer);
+  const Certificate::TbsBytes tbs = cert.tbsBytes();
+  EXPECT_EQ(common::Bytes(tbs.begin(), tbs.end()), w.bytes());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <utility>
 
 #include "common/bytes.hpp"
@@ -324,6 +325,93 @@ TEST(ReporterLedgerRestoreTest, RandomCutPointsAreOutcomeInvisible) {
     }
     EXPECT_EQ(snapshotBytes(uninterrupted), snapshotBytes(interrupted))
         << "seed " << seed;
+  }
+}
+
+// Idle eviction against a naive model that rescans every entry on every
+// sweep. The ledger may skip its walk when no entry can be idle; that must
+// never change which entries go, across any number of restore cuts.
+// Reporters are created by every kind of op (demerit/credit create entries
+// that have never been touched), and time advances in bursts and long gaps
+// so sweeps alternate between evicting and finding nothing idle.
+TEST(ReporterLedgerRestoreTest, IdleEvictionMatchesNaiveScanAcrossCuts) {
+  struct ModelEntry {
+    sim::TimePoint lastTouched{};
+    int demerits{0};
+    bool quarantined{false};
+  };
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    sim::Rng rng{seed * 7919};
+    ReporterLedgerConfig config;
+    config.demeritThreshold = static_cast<int>(rng.uniformInt(2, 4));
+    config.entryTtl = sim::Duration::seconds(rng.uniformInt(2, 6));
+    ReporterLedger ledger{config};
+    std::map<std::uint64_t, ModelEntry> model;
+
+    const auto touch = [&](std::uint64_t reporter, sim::TimePoint now) {
+      ModelEntry& e = model[reporter];
+      e.lastTouched = std::max(e.lastTouched, now);
+    };
+
+    std::int64_t nowMs = rng.uniformInt(0, 10'000);
+    std::uint64_t evictions = 0;
+    for (std::int64_t step = 0; step < 1500; ++step) {
+      if (rng.bernoulli(0.01)) ledger = reserialized(ledger);
+      nowMs += rng.bernoulli(0.05) ? rng.uniformInt(2'000, 9'000)
+                                   : rng.uniformInt(0, 300);
+      const sim::TimePoint now = at(nowMs);
+      const std::uint64_t reporter =
+          0x700 + static_cast<std::uint64_t>(rng.uniformInt(0, 15));
+      const common::Address address{reporter};
+      switch (rng.uniformInt(0, 5)) {
+        case 0:
+          (void)ledger.admitAccusation(address, now);
+          touch(reporter, now);
+          break;
+        case 1: {
+          const auto nonce = static_cast<std::uint64_t>(rng.uniformInt(0, 4));
+          (void)ledger.admitNonce(address, nonce, now);
+          if (nonce != 0) touch(reporter, now);
+          break;
+        }
+        case 2: {
+          (void)ledger.demerit(address);
+          ModelEntry& e = model[reporter];
+          if (++e.demerits >= config.demeritThreshold) e.quarantined = true;
+          break;
+        }
+        case 3: {
+          ledger.credit(address);
+          ModelEntry& e = model[reporter];
+          e.demerits = std::max(0, e.demerits - 1);
+          break;
+        }
+        default: {
+          std::size_t expected = 0;
+          for (auto it = model.begin(); it != model.end();) {
+            if (!it->second.quarantined &&
+                now - it->second.lastTouched > config.entryTtl) {
+              it = model.erase(it);
+              ++expected;
+            } else {
+              ++it;
+            }
+          }
+          ASSERT_EQ(ledger.evictIdle(now), expected)
+              << "seed " << seed << " step " << step;
+          evictions += expected;
+          break;
+        }
+      }
+      ASSERT_EQ(ledger.trackedReporters(), model.size())
+          << "seed " << seed << " step " << step;
+      const auto it = model.find(reporter);
+      EXPECT_EQ(ledger.isQuarantined(address),
+                it != model.end() && it->second.quarantined);
+      EXPECT_EQ(ledger.demeritScore(address),
+                it == model.end() ? 0 : it->second.demerits);
+    }
+    EXPECT_GT(evictions, 0u) << "seed " << seed;
   }
 }
 
