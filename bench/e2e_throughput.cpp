@@ -14,8 +14,9 @@
 // informational (crypto signing on the d_req path is allowed to allocate).
 //
 // Emits BENCH_e2e_throughput.json (schema v2 + throughput.allocations_per_
-// frame). Trials fan out over --jobs via sim::ParallelRunner; the metrics
-// subtree is submission-order merged and identical for any --jobs value.
+// frame, and the medium's net.candidates_per_send gauge). Trials fan out
+// over --jobs via sim::ParallelRunner; the metrics subtree is
+// submission-order merged and identical for any --jobs value.
 //
 // Flags: --trials N         highway trials (default 2)
 //        --packets N        measured data packets per trial (default 10000)
@@ -43,6 +44,8 @@ using namespace blackdp;
 
 struct SpanMeasure {
   std::uint64_t framesDelivered{0};  ///< medium deliveries in the span
+  std::uint64_t framesSent{0};       ///< medium transmissions in the span
+  std::uint64_t candidatesScanned{0};  ///< receivers the medium examined
   std::uint64_t allocations{0};      ///< heap allocs in the span (this thread)
   std::uint64_t packetsSent{0};
   std::uint64_t packetsDelivered{0};  ///< application packets at destination
@@ -106,7 +109,7 @@ SpanMeasure highwayTrial(std::uint64_t seed, std::uint32_t warmupPackets,
   driver.run(warmupPackets);
 
   const auto allocsBefore = common::threadAllocCounters();
-  const std::uint64_t framesBefore = world.medium().stats().framesDelivered;
+  const net::MediumStats mediumBefore = world.medium().stats();
   const std::uint64_t deliveredBefore =
       world.destination().agent->stats().dataDelivered;
   const std::uint32_t sentBefore = driver.sent;
@@ -118,7 +121,11 @@ SpanMeasure highwayTrial(std::uint64_t seed, std::uint32_t warmupPackets,
   m.seconds = span.elapsedSeconds();
   m.allocations =
       common::threadAllocCounters().allocations - allocsBefore.allocations;
-  m.framesDelivered = world.medium().stats().framesDelivered - framesBefore;
+  const net::MediumStats& medium = world.medium().stats();
+  m.framesDelivered = medium.framesDelivered - mediumBefore.framesDelivered;
+  m.framesSent = medium.framesSent - mediumBefore.framesSent;
+  m.candidatesScanned =
+      medium.candidatesScanned - mediumBefore.candidatesScanned;
   m.packetsSent = driver.sent - sentBefore;
   m.packetsDelivered =
       world.destination().agent->stats().dataDelivered - deliveredBefore;
@@ -195,6 +202,8 @@ int main(int argc, char** argv) {
   SpanMeasure highway;  // summed over trials (submission order)
   for (std::size_t i = 1; i < spans.size(); ++i) {
     highway.framesDelivered += spans[i].framesDelivered;
+    highway.framesSent += spans[i].framesSent;
+    highway.candidatesScanned += spans[i].candidatesScanned;
     highway.allocations += spans[i].allocations;
     highway.packetsSent += spans[i].packetsSent;
     highway.packetsDelivered += spans[i].packetsDelivered;
@@ -253,6 +262,15 @@ int main(int argc, char** argv) {
                      static_cast<double>(stream.framesDelivered)
                : 0.0);
   registry.gauge("e2e.trials").set(static_cast<double>(trials));
+  // Medium layer: receivers examined per transmission before the range
+  // check (the spatial grid's window), over the measured highway bursts.
+  registry.counter("highway.frames_sent").add(highway.framesSent);
+  registry.counter("highway.candidates_scanned").add(highway.candidatesScanned);
+  registry.gauge("net.candidates_per_send")
+      .set(highway.framesSent
+               ? static_cast<double>(highway.candidatesScanned) /
+                     static_cast<double>(highway.framesSent)
+               : 0.0);
 
   obs::BenchRunInfo info = timer.info(highway.framesDelivered);
   info.allocationsPerFrame = allocsPerFrame >= 0.0 ? allocsPerFrame : -1.0;

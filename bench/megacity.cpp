@@ -14,14 +14,18 @@
 // statistic. A third leg re-runs the partitioned configuration with a
 // scripted mid-run shard crash (supervisor restart + envelope replay) while
 // checkpointing every other epoch — it must converge to the same surfaces,
-// with the checkpoint time reported as overhead. BENCH_megacity.json
+// with the checkpoint time reported as overhead. That leg runs 5 times,
+// because at CI size it lasts only tens of milliseconds and one run's
+// checkpoint share swings with the host; the sidecar lists every run's
+// share. BENCH_megacity.json
 // (schema v2) carries two machine-dependent sidecars: "sharding"
 // (per-configuration fps, speedup split into algorithmic and parallel
 // parts, per-shard busy seconds and balance, envelope volume) and
 // "fault_tolerance" (checkpoint seconds/bytes, crash epoch,
 // restart/replay/recovery counters, identity verdict).
 // scripts/bench_compare.py gates frames_per_second against the committed
-// baseline and the checkpoint overhead against 5% of the leg's wall clock;
+// baseline and the median checkpoint share against 5% of the leg's wall
+// clock;
 // CI additionally checks the baseline's speedup and parallel_speedup stay
 // > 1.
 //
@@ -35,6 +39,7 @@
 //        --surfaces-out-a F dump run A's metrics+log to file F (CI cmp)
 //        --surfaces-out-b F dump run B's metrics+log to file F (CI cmp)
 //        --no-json          skip writing BENCH_megacity.json
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -227,8 +232,21 @@ int main(int argc, char** argv) {
     serialB = runCorridor(config, shardsB, epochs, serialPool);
   }
   const RunResult& b1 = jobs > 1 ? serialB : b;
-  const FaultToleranceResult ft =
-      runFaultTolerance(config, shardsB, epochs, pool);
+  constexpr std::uint32_t kFaultToleranceRuns = 5;
+  std::vector<FaultToleranceResult> ftAll;
+  for (std::uint32_t r = 0; r < kFaultToleranceRuns; ++r) {
+    ftAll.push_back(runFaultTolerance(config, shardsB, epochs, pool));
+  }
+  const auto share = [](const FaultToleranceResult& run) {
+    return run.runSeconds > 0.0 ? run.checkpointSeconds / run.runSeconds : 0.0;
+  };
+  // The run with the median checkpoint share stands for the leg.
+  std::vector<const FaultToleranceResult*> byShare;
+  for (const FaultToleranceResult& run : ftAll) byShare.push_back(&run);
+  std::sort(byShare.begin(), byShare.end(), [&](const auto* x, const auto* y) {
+    return share(*x) < share(*y);
+  });
+  const FaultToleranceResult& ft = *byShare[byShare.size() / 2];
 
   const bool identical = a.metricsJson == b.metricsJson &&
                          a.canonicalLog == b.canonicalLog &&
@@ -238,8 +256,12 @@ int main(int argc, char** argv) {
   // The crashed-and-restarted run must converge to the same surfaces: the
   // supervisor replayed the retained envelopes, so the recovery is
   // unobservable on the deterministic side.
-  const bool ftIdentical = ft.metricsJson == b.metricsJson &&
-                           ft.canonicalLog == b.canonicalLog;
+  bool ftIdentical = true;
+  for (const FaultToleranceResult& run : ftAll) {
+    ftIdentical = ftIdentical && run.metricsJson == b.metricsJson &&
+                  run.canonicalLog == b.canonicalLog &&
+                  run.stats.shardRestarts == 1;
+  }
   const double speedup = a.fps > 0.0 ? b.fps / a.fps : 0.0;
   const double algorithmicSpeedup = a.fps > 0.0 ? b1.fps / a.fps : 0.0;
   const double parallelSpeedup = b1.fps > 0.0 ? b.fps / b1.fps : 0.0;
@@ -281,7 +303,8 @@ int main(int argc, char** argv) {
             << "\n  checkpoint overhead: " << Table::num(ft.checkpointSeconds, 3)
             << " s of " << Table::num(ft.runSeconds, 3) << " s ("
             << ft.checkpointsWritten << " checkpoints, last "
-            << ft.checkpointBytes << " bytes)\n";
+            << ft.checkpointBytes << " bytes; median share of "
+            << kFaultToleranceRuns << " runs)\n";
 
   const bool dumped = dumpSurfaces(outA, a) && dumpSurfaces(outB, b);
 
@@ -313,7 +336,7 @@ int main(int argc, char** argv) {
                ",\n    \"identical\": " + (identical ? "true" : "false") +
                "\n  }";
 
-    const std::string faultSidecar =
+    std::string faultSidecar =
         "{\n    \"checkpoint_seconds\": " + num(ft.checkpointSeconds) +
         ",\n    \"wall_clock_seconds\": " + num(ft.runSeconds) +
         ",\n    \"checkpoints_written\": " +
@@ -328,7 +351,12 @@ int main(int argc, char** argv) {
         std::to_string(ft.stats.envelopesReplayed) +
         ",\n    \"crc_rejects\": " + std::to_string(ft.stats.crcRejects) +
         ",\n    \"identical\": " + (ftIdentical ? "true" : "false") +
-        "\n  }";
+        ",\n    \"checkpoint_shares\": [";
+    for (std::size_t r = 0; r < ftAll.size(); ++r) {
+      if (r > 0) faultSidecar += ", ";
+      faultSidecar += num(share(ftAll[r]));
+    }
+    faultSidecar += "]\n  }";
 
     // Headline throughput is the partitioned run: frames over ITS wall
     // clock, so frames_per_second == sharding.fps_shards_b.

@@ -15,8 +15,10 @@ throughput.allocations_per_frame) the candidate's allocations_per_frame
 rose more than --max-alloc-increase above the baseline, (when the baseline
 records the gauge stream.allocations_per_frame) the candidate's stream
 allocations per frame rose at all, or (when the baseline records a
-fault_tolerance sidecar) the candidate's checkpoint time exceeds
---max-checkpoint-overhead percent of that leg's wall clock.
+fault_tolerance sidecar) the candidate's median checkpoint share over the
+leg's repeated runs exceeds --max-checkpoint-overhead percent of that leg's
+wall clock. The CI-sized leg lasts only tens of milliseconds, so one run's
+share swings with the host; the median of the runs does not.
 
 Throughput and allocations gate; nothing else does. The deterministic
 `metrics` subtree is expected to be identical when both files come from the
@@ -37,6 +39,7 @@ the baseline.
 import argparse
 import json
 import pathlib
+import statistics
 import sys
 
 
@@ -209,16 +212,20 @@ def main(argv):
     else:
         ckpt = c_ft["checkpoint_seconds"]
         wall = c_ft["wall_clock_seconds"]
-        budget = args.max_checkpoint_overhead / 100.0 * wall
-        pct = ckpt / wall * 100.0 if wall > 0 else 0.0
+        shares = c_ft.get("checkpoint_shares")
+        if not shares:
+            shares = [ckpt / wall if wall > 0 else 0.0]
+        pct = statistics.median(shares) * 100.0
         print(f"fault_tolerance.checkpoint_seconds: "
-              f"{b_ft['checkpoint_seconds']:.4f} -> {ckpt:.4f} "
-              f"({pct:.2f}% of the leg's wall clock; "
+              f"{b_ft['checkpoint_seconds']:.4f} -> {ckpt:.4f}")
+        print(f"fault_tolerance.checkpoint_shares: "
+              f"{', '.join(f'{x * 100.0:.2f}%' for x in shares)} "
+              f"(median {pct:.2f}% of the leg's wall clock; "
               f"tolerance: {args.max_checkpoint_overhead:.1f}%)")
         print(f"fault_tolerance.envelopes_replayed: "
               f"{b_ft['envelopes_replayed']} -> {c_ft['envelopes_replayed']}")
-        if wall > 0 and ckpt > budget:
-            print(f"FAIL: checkpointing cost {pct:.2f}% of the "
+        if pct > args.max_checkpoint_overhead:
+            print(f"FAIL: checkpointing cost a median {pct:.2f}% of the "
                   "fault-tolerance leg's wall clock "
                   f"(> {args.max_checkpoint_overhead:.1f}% allowed) — "
                   "snapshots are no longer cheap enough to take every other "

@@ -63,8 +63,14 @@ It also requires a "fault_tolerance" sidecar from the crash-and-recover
 leg: non-negative checkpoint/wall seconds with checkpoint_seconds <=
 wall_clock_seconds, checkpoints_written >= 1, shard_restarts == 1,
 envelopes_replayed >= 1 (the supervisor actually replayed something),
-crc_rejects == 0, and identical == true — a crashed-and-restarted shard
-must converge to the same deterministic surfaces.
+crc_rejects == 0, identical == true — a crashed-and-restarted shard
+must converge to the same deterministic surfaces — and checkpoint_shares,
+one checkpoint/wall fraction in [0, 1] per repeated run of the leg, whose
+median is the share of the run the other fields describe.
+
+BENCH_e2e_throughput.json requires the gauge net.candidates_per_send: the
+medium's candidates scanned per send over the measured highway bursts, a
+number >= 1 (each send scans at least its sender).
 
 BENCH_ablation_overhead.json requires a "crypto" sidecar naming the SHA-256
 block function its timings ran on: {"sha256_block": "sha-ni" | "portable"}.
@@ -206,7 +212,8 @@ def check_sharding(path, doc):
 FAULT_TOLERANCE_KEYS = ("checkpoint_seconds", "wall_clock_seconds",
                         "checkpoints_written", "checkpoint_bytes",
                         "crash_epoch", "shard_restarts", "recovery_epochs",
-                        "envelopes_replayed", "crc_rejects", "identical")
+                        "envelopes_replayed", "crc_rejects", "identical",
+                        "checkpoint_shares")
 
 
 def check_fault_tolerance(path, doc):
@@ -244,6 +251,32 @@ def check_fault_tolerance(path, doc):
     if ft["identical"] is not True:
         fail(path, "fault_tolerance.identical must be true — the recovered "
                    "run produced different deterministic surfaces")
+    shares = ft["checkpoint_shares"]
+    if not isinstance(shares, list) or not shares:
+        fail(path, "fault_tolerance.checkpoint_shares must be a non-empty "
+                   "array (one share per run of the leg)")
+    for share in shares:
+        check_number(path, "fault_tolerance.checkpoint_shares entry", share)
+        if not 0 <= share <= 1:
+            fail(path, "fault_tolerance.checkpoint_shares entries must lie "
+                       "in [0, 1]")
+    if ft["wall_clock_seconds"] > 0:
+        reported = ft["checkpoint_seconds"] / ft["wall_clock_seconds"]
+        median = sorted(shares)[len(shares) // 2]
+        if abs(reported - median) > 1e-4 * max(median, 1e-9) + 1e-9:
+            fail(path, f"fault_tolerance: checkpoint_seconds / "
+                       f"wall_clock_seconds ({reported:.6g}) is not the "
+                       f"median checkpoint share ({median:.6g})")
+
+
+def check_e2e(path, doc):
+    gauges = doc["metrics"]["gauges"]
+    name = "net.candidates_per_send"
+    if name not in gauges:
+        fail(path, f"bench e2e_throughput requires the gauge {name!r}")
+    check_number(path, f"gauge {name}", gauges[name])
+    if gauges[name] < 1:
+        fail(path, f"gauge {name} must be >= 1, got {gauges[name]}")
 
 
 SHA256_BLOCK_FUNCTIONS = ("sha-ni", "portable")
@@ -302,6 +335,8 @@ def validate(path):
         check_number(path, f"gauge {name}", value)
     for name, hist in metrics["histograms"].items():
         check_histogram(path, name, hist)
+    if doc["bench"] == "e2e_throughput":
+        check_e2e(path, doc)
 
     total = sum(len(metrics[s]) for s in ("counters", "gauges", "histograms"))
     print(f"{path}: OK ({total} metrics, "

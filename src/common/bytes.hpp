@@ -5,17 +5,29 @@
 // are written big-endian, strings and blobs are length-prefixed.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/ids.hpp"
 
 namespace blackdp::common {
 
 using Bytes = std::vector<std::uint8_t>;
+
+/// A fixed-length canonical encoding held by value, so building one never
+/// touches the heap. It passes to std::span<const std::uint8_t> parameters
+/// as is; the implicit conversion to Bytes makes an owning copy for callers
+/// that want one.
+template <std::size_t N>
+struct FixedBytes : std::array<std::uint8_t, N> {
+  operator Bytes() const { return Bytes(this->begin(), this->end()); }
+};
 
 /// Appends primitives to a byte vector in canonical (big-endian) form.
 class ByteWriter {
@@ -50,6 +62,50 @@ class ByteWriter {
 
  private:
   Bytes buffer_;
+};
+
+/// Writes the same canonical form as ByteWriter into a caller-owned buffer,
+/// for encodings whose size is fixed: they build on the stack instead of in
+/// a growing vector. Writing past the buffer's end is an assertion failure.
+class SpanWriter {
+ public:
+  explicit SpanWriter(std::span<std::uint8_t> out) : out_{out} {}
+
+  void writeU8(std::uint8_t v) { put(v); }
+  void writeU32(std::uint32_t v) { put(v); }
+  void writeU64(std::uint64_t v) { put(v); }
+  void writeBool(bool v) { writeU8(v ? 1 : 0); }
+  /// Length-prefixed (u32) UTF-8 string.
+  void writeString(std::string_view s) {
+    writeU32(static_cast<std::uint32_t>(s.size()));
+    BDP_ASSERT(s.size() <= out_.size() - pos_);
+    for (const char c : s) out_[pos_++] = static_cast<std::uint8_t>(c);
+  }
+
+  template <typename Tag, typename Rep>
+  void writeId(StrongId<Tag, Rep> id) {
+    if constexpr (sizeof(Rep) == 8) {
+      writeU64(static_cast<std::uint64_t>(id.value()));
+    } else {
+      writeU32(static_cast<std::uint32_t>(id.value()));
+    }
+  }
+
+  /// True once every byte of the buffer has been written.
+  [[nodiscard]] bool full() const { return pos_ == out_.size(); }
+
+ private:
+  template <typename T>
+  void put(T v) {
+    BDP_ASSERT(sizeof(T) <= out_.size() - pos_);
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      out_[pos_++] =
+          static_cast<std::uint8_t>(v >> (8 * (sizeof(T) - 1 - i)));
+    }
+  }
+
+  std::span<std::uint8_t> out_;
+  std::size_t pos_{0};
 };
 
 /// Reads primitives back out of a canonical encoding.

@@ -12,26 +12,30 @@ std::string_view toString(Verdict verdict) {
   return "?";
 }
 
-common::Bytes AuthHello::canonicalBytes() const {
-  common::ByteWriter w;
+AuthHello::CanonicalBytes AuthHello::canonicalBytes() const {
+  CanonicalBytes out;
+  common::SpanWriter w{out};
   w.writeString("hello-v1");
   w.writeU64(helloId);
   w.writeId(origin);
   w.writeId(destination);
   w.writeBool(isReply);
   w.writeId(responder);
-  return std::move(w).take();
+  BDP_ASSERT(w.full());
+  return out;
 }
 
-common::Bytes DetectionRequest::canonicalBytes() const {
-  common::ByteWriter w;
+DetectionRequest::CanonicalBytes DetectionRequest::canonicalBytes() const {
+  CanonicalBytes out;
+  common::SpanWriter w{out};
   w.writeString("dreq-v1");
   w.writeId(reporter);
   w.writeId(reporterCluster);
   w.writeId(suspect);
   w.writeId(suspectCluster);
   w.writeU64(nonce);
-  return std::move(w).take();
+  BDP_ASSERT(w.full());
+  return out;
 }
 
 }  // namespace blackdp::core

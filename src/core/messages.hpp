@@ -49,7 +49,13 @@ class AuthHello final : public net::Payload {
     return envelope ? 152u : 40u;
   }
 
-  [[nodiscard]] common::Bytes canonicalBytes() const;
+  /// Length of canonicalBytes(): "hello-v1" (u32 length + 8 bytes), helloId,
+  /// origin, destination (u64 each), isReply (u8) and responder (u64).
+  static constexpr std::size_t kCanonicalSize = 4 + 8 + 3 * 8 + 1 + 8;
+  using CanonicalBytes = common::FixedBytes<kCanonicalSize>;
+  /// The signed encoding, the bytes common::ByteWriter would produce, built
+  /// on the stack.
+  [[nodiscard]] CanonicalBytes canonicalBytes() const;
 };
 
 /// d_req — the detection request a legitimate node sends to its cluster head.
@@ -76,7 +82,14 @@ class DetectionRequest final : public net::Payload {
     return envelope ? 168u : 56u;
   }
 
-  [[nodiscard]] common::Bytes canonicalBytes() const;
+  /// Length of canonicalBytes(): "dreq-v1" (u32 length + 7 bytes), reporter
+  /// (u64), reporterCluster (u32), suspect (u64), suspectCluster (u32) and
+  /// nonce (u64). Signed once and verified once per d_req.
+  static constexpr std::size_t kCanonicalSize = 4 + 7 + 8 + 4 + 8 + 4 + 8;
+  using CanonicalBytes = common::FixedBytes<kCanonicalSize>;
+  /// The signed encoding, the bytes common::ByteWriter would produce, built
+  /// on the stack.
+  [[nodiscard]] CanonicalBytes canonicalBytes() const;
 };
 
 /// CH → CH: continue a detection in the receiving CH's cluster.

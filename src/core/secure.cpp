@@ -2,17 +2,16 @@
 
 namespace blackdp::core {
 
-aodv::SecureEnvelope makeEnvelope(const common::Bytes& body,
+aodv::SecureEnvelope makeEnvelope(std::span<const std::uint8_t> body,
                                   const aodv::Credentials& credentials,
                                   const crypto::CryptoEngine& engine) {
   return aodv::SecureEnvelope{
       credentials.certificate,
-      engine.sign(credentials.privateKey,
-                  std::span<const std::uint8_t>{body.data(), body.size()})};
+      engine.sign(credentials.privateKey, body)};
 }
 
 EnvelopeCheck verifyEnvelope(
-    const common::Bytes& body,
+    std::span<const std::uint8_t> body,
     const std::optional<aodv::SecureEnvelope>& envelope,
     common::Address expectedPseudonym, const crypto::TaNetwork& taNetwork,
     const crypto::CryptoEngine& engine, sim::TimePoint now,
@@ -28,9 +27,7 @@ EnvelopeCheck verifyEnvelope(
   if (revocations != nullptr && revocations->isRevokedSerial(cert.serial)) {
     return {false, "revoked"};
   }
-  if (!engine.verify(cert.subjectKey,
-                     std::span<const std::uint8_t>{body.data(), body.size()},
-                     envelope->signature)) {
+  if (!engine.verify(cert.subjectKey, body, envelope->signature)) {
     return {false, "bad-signature"};
   }
   return {true, {}};

@@ -8,6 +8,8 @@
 // optionally (4) local revocation state.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 
 #include "aodv/agent.hpp"
@@ -18,7 +20,7 @@ namespace blackdp::core {
 
 /// Signs `body` with the node's credentials.
 [[nodiscard]] aodv::SecureEnvelope makeEnvelope(
-    const common::Bytes& body, const aodv::Credentials& credentials,
+    std::span<const std::uint8_t> body, const aodv::Credentials& credentials,
     const crypto::CryptoEngine& engine);
 
 struct EnvelopeCheck {
@@ -28,7 +30,7 @@ struct EnvelopeCheck {
 
 /// Full secure-packet verification.
 [[nodiscard]] EnvelopeCheck verifyEnvelope(
-    const common::Bytes& body,
+    std::span<const std::uint8_t> body,
     const std::optional<aodv::SecureEnvelope>& envelope,
     common::Address expectedPseudonym, const crypto::TaNetwork& taNetwork,
     const crypto::CryptoEngine& engine, sim::TimePoint now,

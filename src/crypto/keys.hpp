@@ -8,8 +8,8 @@
 // math": verification resolves the key through the engine, while signing
 // requires possession of the PrivateKey object. No modelled adversary can
 // reach another node's PrivateKey, so unforgeability holds exactly as it
-// would with ECDSA. Signing/verification *cost* is modelled separately as a
-// configurable latency (see CryptoCosts).
+// would with ECDSA. Signing and verifying take no simulated time: the
+// simulator does not model ECDSA's latency (ROADMAP lists the gap).
 //
 // Neither side keeps the raw seed: a PrivateKey and the engine's registry
 // both hold the seed's HMAC key schedule (HmacKey, its ipad/opad blocks
@@ -25,7 +25,6 @@
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 #include "sim/rng.hpp"
-#include "sim/time.hpp"
 
 namespace blackdp::crypto {
 
@@ -62,20 +61,10 @@ struct Signature {
   friend bool operator==(const Signature&, const Signature&) = default;
 };
 
-/// Latency model for cryptographic operations (IEEE 1609.2 ECDSA-P256-class
-/// costs on automotive hardware; configurable for overhead studies).
-struct CryptoCosts {
-  sim::Duration sign{sim::Duration::microseconds(800)};
-  sim::Duration verify{sim::Duration::microseconds(1500)};
-  sim::Duration hash{sim::Duration::microseconds(20)};
-};
-
 /// Per-simulation signature engine; see the file comment for the model.
 class CryptoEngine {
  public:
-  explicit CryptoEngine(std::uint64_t seed,
-                        CryptoCosts costs = {})
-      : rng_{seed}, costs_{costs} {}
+  explicit CryptoEngine(std::uint64_t seed) : rng_{seed} {}
 
   CryptoEngine(const CryptoEngine&) = delete;
   CryptoEngine& operator=(const CryptoEngine&) = delete;
@@ -92,13 +81,10 @@ class CryptoEngine {
                             std::span<const std::uint8_t> message,
                             const Signature& sig) const;
 
-  [[nodiscard]] const CryptoCosts& costs() const { return costs_; }
-
   [[nodiscard]] std::size_t registeredKeys() const { return keys_.size(); }
 
  private:
   sim::Rng rng_;
-  CryptoCosts costs_;
   std::unordered_map<std::uint64_t, HmacKey> keys_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -28,45 +29,95 @@ std::uint64_t cellKey(std::int64_t cx, std::int64_t cy) {
   return (static_cast<std::uint64_t>(ux) << 32) | uy;
 }
 
+/// Grid/candidate entry: ordering by key orders by node id.
+std::uint64_t nodeKey(common::NodeId id, std::uint32_t slot) {
+  return (static_cast<std::uint64_t>(id.value()) << 32) | slot;
+}
+
+/// Widens each send's window to absorb floating-point rounding in
+/// positions and in the squared-distance range test.
+constexpr double kReachSlackM = 1e-3;
+
 }  // namespace
 
 WirelessMedium::WirelessMedium(sim::Simulator& simulator, sim::Rng rng,
                                MediumConfig config)
-    : simulator_{simulator}, rng_{rng}, config_{config} {
+    : simulator_{simulator},
+      rng_{rng},
+      config_{config},
+      gridBuiltAt_{simulator.now()} {
   BDP_ASSERT_MSG(config_.transmissionRangeM > 0.0,
                  "transmission range must be positive");
 }
 
 void WirelessMedium::reserve(std::size_t nodes, std::size_t addresses) {
-  radios_.reserve(nodes);
-  receivers_.reserve(nodes);
+  index_.reserve(nodes);
+  nodes_.reserve(nodes);
   addressIds_.reserve(addresses);
   ownerOf_.reserve(addresses);
+  nextAddress_.reserve(addresses);
+}
+
+std::uint32_t WirelessMedium::slotFor(common::NodeId node) {
+  if (const NodeEntry* entry = index_.find(node)) return entry->slot;
+  std::uint32_t slot = 0;
+  if (!freeSlots_.empty()) {
+    slot = freeSlots_.back();
+    freeSlots_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.emplace_back();
+  }
+  nodes_[slot] = NodeRecord{node};
+  index_[node] = NodeEntry{nullptr, slot};
+  return slot;
+}
+
+void WirelessMedium::releaseSlotIfUnused(std::uint32_t slot) {
+  const NodeRecord& record = nodes_[slot];
+  if (record.radio != nullptr || record.firstAddress != kNoAddress) return;
+  index_.erase(record.id);
+  freeSlots_.push_back(slot);
 }
 
 void WirelessMedium::attach(common::NodeId node, Radio& radio) {
-  BDP_ASSERT_MSG(!radios_.contains(node), "node attached twice");
-  radios_[node] = &radio;
-  const auto pos = std::lower_bound(
-      receivers_.begin(), receivers_.end(), node,
-      [](const auto& entry, common::NodeId id) { return entry.first < id; });
-  receivers_.insert(pos, {node, &radio});
-  gridValid_ = false;  // indices into receivers_ shifted
+  BDP_ASSERT_MSG(!isAttached(node), "node attached twice");
+  const std::uint32_t slot = slotFor(node);
+  index_.find(node)->radio = &radio;
+  nodes_[slot].radio = &radio;
+  if (config_.spatialGrid) {
+    file(slot);
+  } else {
+    allListed_ = false;
+  }
 }
 
 void WirelessMedium::detach(common::NodeId node) {
-  radios_.erase(node);
-  const auto pos = std::lower_bound(
-      receivers_.begin(), receivers_.end(), node,
-      [](const auto& entry, common::NodeId id) { return entry.first < id; });
-  if (pos != receivers_.end() && pos->first == node) receivers_.erase(pos);
+  NodeEntry* entry = index_.find(node);
+  if (entry == nullptr) return;
+  const std::uint32_t slot = entry->slot;
+  entry->radio = nullptr;
+  NodeRecord& record = nodes_[slot];
   // A detached node must not keep ownership of any receive address: a later
   // re-use of the address binds it to its new owner, and until then unicasts
   // to it fail the MAC ACK as unreachable rather than consulting a ghost.
-  for (std::uint32_t& owner : ownerOf_) {
-    if (owner == node.value()) owner = kUnbound;
+  for (std::uint32_t id = record.firstAddress; id != kNoAddress;
+       id = nextAddress_[id]) {
+    ownerOf_[id] = kUnbound;
   }
-  gridValid_ = false;
+  record.firstAddress = kNoAddress;
+  if (record.radio != nullptr) {
+    unfile(slot);
+    record.radio = nullptr;
+    allListed_ = false;
+  }
+  releaseSlotIfUnused(slot);
+}
+
+void WirelessMedium::refile(common::NodeId node) {
+  if (!config_.spatialGrid) return;
+  const NodeEntry* entry = index_.find(node);
+  if (entry != nullptr && entry->radio != nullptr) file(entry->slot);
 }
 
 void WirelessMedium::bindAddress(common::Address address,
@@ -75,13 +126,36 @@ void WirelessMedium::bindAddress(common::Address address,
     return;
   }
   const std::uint32_t id = addressIds_.intern(address);
-  if (id >= ownerOf_.size()) ownerOf_.resize(id + 1, kUnbound);
+  if (id >= ownerOf_.size()) {
+    ownerOf_.resize(id + 1, kUnbound);
+    nextAddress_.resize(id + 1, kNoAddress);
+  }
+  if (ownerOf_[id] == owner.value()) return;
+  releaseAddress(id);
+  NodeRecord& record = nodes_[slotFor(owner)];
+  nextAddress_[id] = record.firstAddress;
+  record.firstAddress = id;
   ownerOf_[id] = owner.value();
 }
 
 void WirelessMedium::unbindAddress(common::Address address) {
   const std::uint32_t id = addressIds_.find(address);
-  if (id != common::AddressRegistry::kNoId) ownerOf_[id] = kUnbound;
+  if (id != common::AddressRegistry::kNoId) releaseAddress(id);
+}
+
+void WirelessMedium::releaseAddress(std::uint32_t id) {
+  const std::uint32_t owner = ownerOf_[id];
+  if (owner == kUnbound) return;
+  ownerOf_[id] = kUnbound;
+  const NodeEntry* entry = index_.find(common::NodeId{owner});
+  BDP_ASSERT_MSG(entry != nullptr, "bound address without an owner record");
+  std::uint32_t* link = &nodes_[entry->slot].firstAddress;
+  while (*link != id) {
+    BDP_ASSERT(*link != kNoAddress);
+    link = &nextAddress_[*link];
+  }
+  *link = nextAddress_[id];
+  releaseSlotIfUnused(entry->slot);
 }
 
 std::int64_t WirelessMedium::cellOf(double coordinate) const {
@@ -89,51 +163,86 @@ std::int64_t WirelessMedium::cellOf(double coordinate) const {
       std::floor(coordinate / config_.transmissionRangeM));
 }
 
-void WirelessMedium::maybeRefreshGrid() {
-  const sim::TimePoint now = simulator_.now();
-  if (gridValid_) {
-    // A node may have drifted at most maxNodeSpeedMps * age metres since the
-    // build. As long as that stays within one cell (= one transmission
-    // range), the 5×5 neighborhood scan below still covers every node that
-    // can possibly be in range, so the grid stays exact.
-    const double driftM =
-        (now - gridBuiltAt_).toSeconds() * config_.maxNodeSpeedMps;
-    if (driftM <= config_.transmissionRangeM) return;
+void WirelessMedium::file(std::uint32_t slot) {
+  NodeRecord& record = nodes_[slot];
+  const mobility::Position p = record.radio->radioPosition();
+  const std::int64_t cx = cellOf(p.x);
+  const std::int64_t cy = cellOf(p.y);
+  const std::uint64_t cell = cellKey(cx, cy);
+  if (record.filed && record.cell == cell) return;
+  unfile(slot);
+  cells_[cell].push_back(nodeKey(record.id, slot));
+  record.filed = true;
+  record.cell = cell;
+  minCellX_ = std::min(minCellX_, cx);
+  maxCellX_ = std::max(maxCellX_, cx);
+  minCellY_ = std::min(minCellY_, cy);
+  maxCellY_ = std::max(maxCellY_, cy);
+}
+
+void WirelessMedium::unfile(std::uint32_t slot) {
+  NodeRecord& record = nodes_[slot];
+  if (!record.filed) return;
+  std::vector<std::uint64_t>& entries = cells_.find(record.cell)->second;
+  const auto it =
+      std::find(entries.begin(), entries.end(), nodeKey(record.id, slot));
+  BDP_ASSERT(it != entries.end());
+  *it = entries.back();
+  entries.pop_back();
+  record.filed = false;
+}
+
+void WirelessMedium::rebuildGrid() {
+  for (auto& cell : cells_) cell.second.clear();
+  minCellX_ = minCellY_ = std::numeric_limits<std::int64_t>::max();
+  maxCellX_ = maxCellY_ = std::numeric_limits<std::int64_t>::min();
+  for (std::uint32_t slot = 0; slot < nodes_.size(); ++slot) {
+    nodes_[slot].filed = false;
+    if (nodes_[slot].radio != nullptr) file(slot);
   }
-  cells_.clear();
-  for (std::uint32_t i = 0; i < receivers_.size(); ++i) {
-    const mobility::Position p = receivers_[i].second->radioPosition();
-    cells_[cellKey(cellOf(p.x), cellOf(p.y))].push_back(i);
-  }
-  gridBuiltAt_ = now;
-  gridValid_ = true;
+  gridBuiltAt_ = simulator_.now();
   ++stats_.gridRebuilds;
 }
 
-void WirelessMedium::collectCandidates(const mobility::Position& origin) {
-  gridCandidates_.clear();
-  const std::int64_t ocx = cellOf(origin.x);
-  const std::int64_t ocy = cellOf(origin.y);
-  // ±2 cells: ±1 because an in-range node's true cell is at most one cell
-  // away, plus ±1 of permitted drift since the grid was built.
-  for (std::int64_t cx = ocx - 2; cx <= ocx + 2; ++cx) {
-    for (std::int64_t cy = ocy - 2; cy <= ocy + 2; ++cy) {
+void WirelessMedium::collectCandidates(const mobility::Position& origin,
+                                       double reach) {
+  candidates_.clear();
+  // Every node in range of `origin` now was within `reach` of it when it
+  // was filed, so its cell lies in this window; cells outside the occupied
+  // box hold nobody.
+  const std::int64_t x0 = std::max(cellOf(origin.x - reach), minCellX_);
+  const std::int64_t x1 = std::min(cellOf(origin.x + reach), maxCellX_);
+  const std::int64_t y0 = std::max(cellOf(origin.y - reach), minCellY_);
+  const std::int64_t y1 = std::min(cellOf(origin.y + reach), maxCellY_);
+  for (std::int64_t cx = x0; cx <= x1; ++cx) {
+    for (std::int64_t cy = y0; cy <= y1; ++cy) {
       const auto it = cells_.find(cellKey(cx, cy));
       if (it == cells_.end()) continue;
-      gridCandidates_.insert(gridCandidates_.end(), it->second.begin(),
-                             it->second.end());
+      candidates_.insert(candidates_.end(), it->second.begin(),
+                         it->second.end());
     }
   }
-  // Indices ascend within each cell; sorting the handful of candidates
-  // restores the global ascending-node-id visiting order the RNG contract
+  // Restores the global ascending-node-id visiting order the RNG contract
   // requires.
-  std::sort(gridCandidates_.begin(), gridCandidates_.end());
+  std::sort(candidates_.begin(), candidates_.end());
+}
+
+void WirelessMedium::collectAll() {
+  if (allListed_) return;
+  candidates_.clear();
+  for (std::uint32_t slot = 0; slot < nodes_.size(); ++slot) {
+    if (nodes_[slot].radio != nullptr) {
+      candidates_.push_back(nodeKey(nodes_[slot].id, slot));
+    }
+  }
+  std::sort(candidates_.begin(), candidates_.end());
+  allListed_ = true;
 }
 
 void WirelessMedium::scheduleSendFailure(common::NodeId sender,
                                          const Frame& frame) {
   simulator_.schedule(config_.perHopLatency, [this, sender, frame] {
-    if (Radio** radio = radios_.find(sender)) (*radio)->onSendFailed(frame);
+    if (Radio* radio = radioOf(sender)) radio->onSendFailed(frame);
   });
 }
 
@@ -172,15 +281,15 @@ void WirelessMedium::deliver(common::NodeId receiver, const Frame& frame) {
   // Deliver only if the receiver is still attached at delivery time (a
   // vehicle may leave the highway while the frame is in flight, or an
   // earlier receiver's handler may detach it).
-  Radio** live = radios_.find(receiver);
+  Radio* const live = radioOf(receiver);
   if (live == nullptr) return;
   ++stats_.framesDelivered;
   traceFrame(simulator_, obs::EventKind::kFrameRx, 0, receiver, frame);
-  (*live)->onFrame(frame);
+  live->onFrame(frame);
 }
 
 void WirelessMedium::send(common::NodeId sender, Frame frame) {
-  Radio* const* senderRadio = radios_.find(sender);
+  Radio* const senderRadio = radioOf(sender);
   BDP_ASSERT_MSG(senderRadio != nullptr, "send from unattached node");
   BDP_ASSERT_MSG(frame.payload != nullptr, "frame without payload");
 
@@ -188,7 +297,7 @@ void WirelessMedium::send(common::NodeId sender, Frame frame) {
   stats_.bytesSent += frame.payload->sizeBytes();
   traceFrame(simulator_, obs::EventKind::kFrameTx, 0, sender, frame);
 
-  const mobility::Position origin = (*senderRadio)->radioPosition();
+  const mobility::Position origin = senderRadio->radioPosition();
 
   // MAC ACK model for unicast frames: unreachable addressee → sender gets
   // a transmission-failure callback after the (ACK-timeout-like) latency.
@@ -202,9 +311,9 @@ void WirelessMedium::send(common::NodeId sender, Frame frame) {
     const common::NodeId owner{ownerValue};
     const bool reachable =
         ownerValue != kUnbound && [&] {
-          Radio* const* radio = radios_.find(owner);
+          Radio* const radio = radioOf(owner);
           return radio != nullptr &&
-                 withinRange(origin, (*radio)->radioPosition());
+                 withinRange(origin, radio->radioPosition());
         }();
     if (reachable) {
       addressee = owner;
@@ -271,27 +380,31 @@ void WirelessMedium::send(common::NodeId sender, Frame frame) {
                         [this, nodeId, frame] { deliver(nodeId, frame); });
   };
 
-  // One loop over either candidate source, so `visit` has a single call
-  // site and inlines into it.
-  const bool grid = config_.spatialGrid;
-  if (grid) {
-    maybeRefreshGrid();
-    collectCandidates(origin);
+  if (config_.spatialGrid) {
+    double driftM =
+        (simulator_.now() - gridBuiltAt_).toSeconds() * config_.maxNodeSpeedMps;
+    if (driftM > kRefileDriftFraction * config_.transmissionRangeM) {
+      rebuildGrid();
+      driftM = 0.0;
+    }
+    collectCandidates(origin,
+                      config_.transmissionRangeM + driftM + kReachSlackM);
+  } else {
+    collectAll();
   }
-  const std::size_t candidates =
-      grid ? gridCandidates_.size() : receivers_.size();
-  for (std::size_t k = 0; k < candidates; ++k) {
-    const auto& [nodeId, radio] = receivers_[grid ? gridCandidates_[k] : k];
-    visit(nodeId, radio);
+  stats_.candidatesScanned += candidates_.size();
+  for (const std::uint64_t key : candidates_) {
+    visit(common::NodeId{static_cast<std::uint32_t>(key >> 32)},
+          nodes_[static_cast<std::uint32_t>(key)].radio);
   }
   flushBatch(batch);
 }
 
 bool WirelessMedium::inRange(common::NodeId a, common::NodeId b) const {
-  Radio* const* ra = radios_.find(a);
-  Radio* const* rb = radios_.find(b);
+  Radio* const ra = radioOf(a);
+  Radio* const rb = radioOf(b);
   if (ra == nullptr || rb == nullptr) return false;
-  return withinRange((*ra)->radioPosition(), (*rb)->radioPosition());
+  return withinRange(ra->radioPosition(), rb->radioPosition());
 }
 
 }  // namespace blackdp::net

@@ -8,14 +8,21 @@
 // as it can" behaviour races against). Optional i.i.d. frame loss supports
 // failure-injection tests.
 //
-// Hot path: receivers live in a node-id-ordered array maintained on
-// attach/detach (rare), and a uniform spatial grid keyed by
-// cell = ⌊pos / transmissionRange⌋ narrows each send to the sender's cell
-// neighborhood instead of the whole fleet. Both the grid and the plain
-// linear scan visit in-range receivers in strictly ascending node-id order
-// and draw from the RNG for exactly the same receiver sequence, so a run
-// replays byte-identically whichever path is active (pinned by
-// medium_grid_test).
+// Hot path: a uniform spatial grid keyed by cell = ⌊pos / transmissionRange⌋
+// narrows each send to the cells a receiver in range can be filed in.
+// Filing is incremental: attach, detach and refile (BasicNode::setMotion)
+// each move one node's entry in one cell, so building a world of N nodes
+// costs O(N), not a grid rebuild per attach. Entries are filed at the
+// position read when they were filed, so they go stale as nodes move; the
+// whole grid is refiled (reusing its cell storage) once
+// maxNodeSpeedMps × (time since the last refile) passes a fixed fraction of
+// the range. Until then a send scans the window
+// origin ± (range + maxNodeSpeedMps × grid age), clamped to the bounding box
+// of the occupied cells: no node in range can be filed outside it.
+// Candidates are visited in strictly ascending node-id order, exactly as the
+// plain linear scan over every attached node (spatialGrid off) visits them,
+// and the in-range check precedes every RNG draw, so a run replays
+// byte-identically whichever path is active (pinned by medium_grid_test).
 //
 // Delivery events. A jittered medium schedules one event per surviving
 // receiver, each at its own jittered time. A zero-jitter medium (corridor,
@@ -38,6 +45,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -74,13 +82,15 @@ struct MediumConfig {
   sim::Duration maxJitter{sim::Duration::microseconds(100)};
   double lossProbability{0.0};
   /// Spatial-grid receiver index (cell size = transmission range). Off =
-  /// plain linear scan over the id-ordered receiver array. Both paths are
-  /// byte-identical; the grid only changes how candidates are found.
+  /// plain linear scan over every attached node in id order, the reference
+  /// the grid is tested against. Both paths are byte-identical; the grid
+  /// only changes how candidates are found.
   bool spatialGrid{true};
-  /// Upper bound on how fast any attached node moves. The grid is rebuilt
-  /// before a node could have drifted more than one cell since the last
-  /// build, which keeps the 5×5-cell candidate neighborhood exact. Table I
-  /// tops out at 90 km/h = 25 m/s; the default leaves headroom.
+  /// Upper bound on how fast any attached node moves between refiles; the
+  /// per-send window widens by this speed × the grid's age, which keeps it
+  /// a superset of the nodes in range. Table I tops out at 90 km/h =
+  /// 25 m/s; the default leaves headroom. A faster or discontinuous move
+  /// must be reported through WirelessMedium::refile.
   double maxNodeSpeedMps{50.0};
 };
 
@@ -110,7 +120,10 @@ struct MediumStats {
   std::uint64_t framesJamDropped{0};    ///< ... of which jam-zone losses
   std::uint64_t sendFailures{0};      ///< unicast frames with no reachable owner
   std::uint64_t bytesSent{0};
-  std::uint64_t gridRebuilds{0};      ///< spatial-grid refreshes
+  std::uint64_t gridRebuilds{0};      ///< whole-grid refiles (drift bound)
+  /// Receivers examined by send() before the range check: the grid window's
+  /// entries, or every attached node on the linear path.
+  std::uint64_t candidatesScanned{0};
 };
 
 class WirelessMedium {
@@ -129,9 +142,21 @@ class WirelessMedium {
   /// a re-used address routes to its new owner, never to a ghost.
   void detach(common::NodeId node);
 
+  /// Re-files a node's grid entry at its current position. Must be called
+  /// whenever the node's position changes discontinuously (teleport-style
+  /// setMotion) or faster than MediumConfig::maxNodeSpeedMps;
+  /// BasicNode::setMotion does this automatically. O(cell); a no-op for a
+  /// node that is not attached.
+  void refile(common::NodeId node);
+
   [[nodiscard]] bool isAttached(common::NodeId node) const {
-    return radios_.contains(node);
+    return radioOf(node) != nullptr;
   }
+
+  /// The grid is refiled once maxNodeSpeedMps × its age exceeds this
+  /// fraction of the transmission range, so a send's window never reaches
+  /// past origin ± (1 + kRefileDriftFraction) × range.
+  static constexpr double kRefileDriftFraction = 0.5;
 
   /// Dense ids handed out for bound addresses (monotone over the run).
   [[nodiscard]] std::size_t internedAddresses() const {
@@ -167,12 +192,6 @@ class WirelessMedium {
   /// True iff a and b are currently within transmission range.
   [[nodiscard]] bool inRange(common::NodeId a, common::NodeId b) const;
 
-  /// Drops the cached spatial grid. Must be called whenever a node's
-  /// position changes discontinuously (teleport-style setMotion) or faster
-  /// than MediumConfig::maxNodeSpeedMps; BasicNode::setMotion does this
-  /// automatically. Cheap — the grid rebuilds lazily on the next send.
-  void invalidateGrid() { gridValid_ = false; }
-
   [[nodiscard]] const MediumStats& stats() const { return stats_; }
   [[nodiscard]] const MediumConfig& config() const { return config_; }
 
@@ -197,12 +216,30 @@ class WirelessMedium {
            config_.transmissionRangeM * config_.transmissionRangeM;
   }
 
+  /// The node's radio, or nullptr when it is not attached: one probe.
+  [[nodiscard]] Radio* radioOf(common::NodeId node) const {
+    const NodeEntry* entry = index_.find(node);
+    return entry != nullptr ? entry->radio : nullptr;
+  }
   [[nodiscard]] std::int64_t cellOf(double coordinate) const;
-  /// Rebuilds the grid unless it is still fresh (drift bounded by one cell).
-  void maybeRefreshGrid();
-  /// Fills `gridCandidates_` with indices into `receivers_` (ascending, and
-  /// therefore ascending node-id) for the 5×5-cell neighborhood of `origin`.
-  void collectCandidates(const mobility::Position& origin);
+  /// The slot of `node`, allocated (recycled first) if it has none.
+  [[nodiscard]] std::uint32_t slotFor(common::NodeId node);
+  /// Frees a slot whose node is detached and owns no address.
+  void releaseSlotIfUnused(std::uint32_t slot);
+  /// Unbinds dense address `id` from its owner, if it has one, and unlinks
+  /// it from the owner's list.
+  void releaseAddress(std::uint32_t id);
+  /// Files the slot's node in the cell of its current position (moving it
+  /// out of its old cell if that differs).
+  void file(std::uint32_t slot);
+  void unfile(std::uint32_t slot);
+  /// Refiles every attached node and restarts the drift clock.
+  void rebuildGrid();
+  /// Fills `candidates_` with the entries of every occupied cell the window
+  /// origin ± reach touches, sorted (ascending node id).
+  void collectCandidates(const mobility::Position& origin, double reach);
+  /// The linear path's candidates: every attached node, sorted.
+  void collectAll();
 
   void scheduleSendFailure(common::NodeId sender, const Frame& frame);
 
@@ -225,16 +262,36 @@ class WirelessMedium {
 
   /// ownerOf_ slot value meaning "this address is not currently bound".
   static constexpr std::uint32_t kUnbound = 0xffff'ffffu;
+  /// End of a node's list of bound address ids.
+  static constexpr std::uint32_t kNoAddress = 0xffff'ffffu;
 
   sim::Simulator& simulator_;
   sim::Rng rng_;
   MediumConfig config_;
   MediumStats stats_;
-  /// One open-addressing probe + array access per delivery-liveness check.
-  common::DenseKeyMap<common::NodeId, Radio*> radios_;
-  /// Same radios, kept in ascending node-id order (updated on attach/detach,
-  /// which are rare) so sends never copy + sort the whole fleet.
-  std::vector<std::pair<common::NodeId, Radio*>> receivers_;
+  /// Per-node records, map-array style: `index_` maps a node to its radio
+  /// (one open-addressing probe per delivery-liveness check) and to a dense
+  /// slot indexing `nodes_`. A slot lives while its node is attached or owns
+  /// a bound address, and is recycled after. Grid cells and candidate lists
+  /// hold keys (nodeId << 32 | slot), so sorting them sorts by node id and
+  /// each still finds its record without a probe.
+  struct NodeEntry {
+    Radio* radio{nullptr};  ///< nullptr while detached
+    std::uint32_t slot{0};
+  };
+  struct NodeRecord {
+    common::NodeId id{};
+    bool filed{false};
+    Radio* radio{nullptr};  ///< same as the index entry's
+    std::uint64_t cell{0};  ///< the cell it is filed in, when filed
+    /// Head of the list of dense address ids bound to it (linked through
+    /// nextAddress_): detach unbinds exactly these.
+    std::uint32_t firstAddress{kNoAddress};
+  };
+  common::DenseKeyMap<common::NodeId, NodeEntry> index_;
+  std::vector<NodeRecord> nodes_;
+  std::vector<std::uint32_t> freeSlots_;
+
   /// Address → owner, split map-array style: bindAddress interns the sparse
   /// pseudonym into a dense id once, and the owner lives in a flat vector
   /// indexed by that id. The unicast ACK lookup in send() is then a probe
@@ -243,14 +300,26 @@ class WirelessMedium {
   /// bounded per run, so the vector tracks total distinct addresses).
   common::AddressRegistry addressIds_;
   std::vector<std::uint32_t> ownerOf_;  ///< dense address id -> NodeId value
+  /// Dense address id -> the next id bound to the same owner.
+  std::vector<std::uint32_t> nextAddress_;
   MediumFaultHook* faultHook_{nullptr};
 
-  /// Spatial grid: packed (cellX, cellY) → indices into receivers_,
-  /// ascending within each cell by construction.
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> cells_;
-  std::vector<std::uint32_t> gridCandidates_;  ///< per-send scratch
+  /// Spatial grid: packed (cellX, cellY) → keys of the nodes filed there, in
+  /// no particular order. Cells are never erased, so a refile reuses their
+  /// storage.
+  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> cells_;
+  /// Bounding box of the cells filed into since the last refile (it only
+  /// grows in between, so it always covers every filed node).
+  std::int64_t minCellX_{std::numeric_limits<std::int64_t>::max()};
+  std::int64_t maxCellX_{std::numeric_limits<std::int64_t>::min()};
+  std::int64_t minCellY_{std::numeric_limits<std::int64_t>::max()};
+  std::int64_t maxCellY_{std::numeric_limits<std::int64_t>::min()};
+  /// Every entry was filed at or after this time.
   sim::TimePoint gridBuiltAt_{};
-  bool gridValid_{false};
+  /// Candidate keys of one send, sorted (scratch, reused).
+  std::vector<std::uint64_t> candidates_;
+  /// Linear path: whether `candidates_` still lists every attached node.
+  bool allListed_{false};
 
   /// Zero-jitter delivery batches, map-array style: events carry only a
   /// slot index (16-byte capture), the records live here. Handlers may

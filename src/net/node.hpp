@@ -64,12 +64,12 @@ class BasicNode : public Radio, public LinkLayer {
 
   [[nodiscard]] const mobility::LinearMotion& motion() const { return motion_; }
   /// Replaces the trajectory. Motion changes may be discontinuous (the
-  /// scenario teleports fleeing attackers), so the medium's spatial grid is
-  /// invalidated — its bounded-drift freshness argument only covers smooth
-  /// motion.
+  /// scenario teleports fleeing attackers), so the node is re-filed in the
+  /// medium's spatial grid — its bounded-drift argument only covers smooth
+  /// motion since the node was last filed.
   void setMotion(mobility::LinearMotion motion) {
     motion_ = motion;
-    medium_.invalidateGrid();
+    medium_.refile(id_);
   }
 
   /// Current position (exact, from the trajectory).

@@ -1,5 +1,6 @@
 #include "scenario/highway_scenario.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "common/assert.hpp"
@@ -32,6 +33,9 @@ HighwayScenario::HighwayScenario(ScenarioConfig config)
       std::make_unique<crypto::TaNetwork>(simulator_, *engine_, config_.ta);
   net::MediumConfig mediumConfig = config_.medium;
   mediumConfig.transmissionRangeM = config_.transmissionRangeM;
+  // The grid's drift bound must cover the fleet's own top speed.
+  mediumConfig.maxNodeSpeedMps = std::max(
+      mediumConfig.maxNodeSpeedMps, mobility::kmhToMps(config_.maxSpeedKmh));
   medium_ = std::make_unique<net::WirelessMedium>(
       simulator_, seeds_.stream("medium"), mediumConfig);
   backbone_ = std::make_unique<net::Backbone>(simulator_);

@@ -1,5 +1,7 @@
 #include "scenario/urban_scenario.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 
 namespace blackdp::scenario {
@@ -20,6 +22,9 @@ UrbanScenario::UrbanScenario(UrbanConfig config)
       std::make_unique<crypto::TaNetwork>(simulator_, *engine_, config_.ta);
   net::MediumConfig mediumConfig = config_.medium;
   mediumConfig.transmissionRangeM = config_.transmissionRangeM;
+  // The grid's drift bound must cover the fleet's own top speed.
+  mediumConfig.maxNodeSpeedMps = std::max(
+      mediumConfig.maxNodeSpeedMps, mobility::kmhToMps(config_.maxSpeedKmh));
   medium_ = std::make_unique<net::WirelessMedium>(
       simulator_, seeds_.stream("medium"), mediumConfig);
   backbone_ = std::make_unique<net::Backbone>(simulator_);

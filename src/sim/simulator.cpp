@@ -26,12 +26,14 @@ EventHandle Simulator::scheduleAt(TimePoint when, Callback fn) {
     slot = freeSlots_.back();
     freeSlots_.pop_back();
     slots_[slot] = std::move(fn);
+    slotSeq_[slot] = seq;
   } else {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.push_back(std::move(fn));
+    slotSeq_.push_back(seq);
   }
   heapPush(HeapEntry{when, seq, slot});
-  return EventHandle{seq};
+  return EventHandle{seq, slot};
 }
 
 void Simulator::heapPush(HeapEntry entry) {
@@ -70,11 +72,14 @@ void Simulator::freeSlot(std::uint32_t slot) {
 }
 
 void Simulator::cancel(EventHandle handle) {
-  if (!handle.valid()) return;
-  if (std::find(cancelled_.begin(), cancelled_.end(), handle.seq_) ==
-      cancelled_.end()) {
-    cancelled_.push_back(handle.seq_);
-  }
+  if (!handle.valid() || handle.slot_ >= slotSeq_.size()) return;
+  // A slot that has moved on (the event ran, or was cancelled and its slot
+  // recycled) holds another seq or 0, so a stale handle matches nothing.
+  if (slotSeq_[handle.slot_] == handle.seq_) slotSeq_[handle.slot_] = 0;
+}
+
+bool Simulator::cancelled(const HeapEntry& entry) const {
+  return slotSeq_[entry.slot] != entry.seq;
 }
 
 std::size_t Simulator::run(TimePoint until) {
@@ -100,12 +105,7 @@ void Simulator::fastForward(TimePoint to) {
   if (to <= now_) return;
   // Peek past tombstones: jumping over a live pending event would reorder
   // causality (the event would then run "in the past").
-  while (!heap_.empty()) {
-    const auto it =
-        std::find(cancelled_.begin(), cancelled_.end(), heap_.front().seq);
-    if (it == cancelled_.end()) break;
-    *it = cancelled_.back();
-    cancelled_.pop_back();
+  while (!heap_.empty() && cancelled(heap_.front())) {
     freeSlot(heap_.front().slot);
     heapPopRoot();
   }
@@ -118,14 +118,9 @@ bool Simulator::step() {
   while (!heap_.empty()) {
     const HeapEntry top = heap_.front();
     heapPopRoot();
-    if (!cancelled_.empty()) {
-      const auto it = std::find(cancelled_.begin(), cancelled_.end(), top.seq);
-      if (it != cancelled_.end()) {
-        *it = cancelled_.back();
-        cancelled_.pop_back();
-        freeSlot(top.slot);
-        continue;  // tombstone
-      }
+    if (cancelled(top)) {
+      freeSlot(top.slot);
+      continue;  // tombstone
     }
     BDP_ASSERT_MSG(top.when >= now_, "event queue went backwards in time");
     now_ = top.when;
@@ -133,6 +128,7 @@ bool Simulator::step() {
     // Move the callable out and recycle its slot before invoking: the event
     // may schedule again, and the freed slot is the one it should reuse.
     Callback fn = std::move(slots_[top.slot]);
+    slotSeq_[top.slot] = 0;
     freeSlots_.push_back(top.slot);
     fn();
     return true;

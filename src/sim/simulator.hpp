@@ -23,8 +23,9 @@ class EventHandle {
 
  private:
   friend class Simulator;
-  explicit EventHandle(std::uint64_t seq) : seq_{seq} {}
+  EventHandle(std::uint64_t seq, std::uint32_t slot) : seq_{seq}, slot_{slot} {}
   std::uint64_t seq_{0};
+  std::uint32_t slot_{0};  ///< the callable's slot while the event pends
 };
 
 /// The event-driven simulator.
@@ -47,8 +48,9 @@ class Simulator {
   /// Schedules `fn` at an absolute time (>= now; earlier clamps to now).
   EventHandle scheduleAt(TimePoint when, Callback fn);
 
-  /// Cancels a pending event. Cancelling an already-run or already-cancelled
-  /// event is a harmless no-op (the common pattern for timeout timers).
+  /// Cancels a pending event in O(1). Cancelling an already-run or
+  /// already-cancelled event is a true no-op (the common pattern for timeout
+  /// timers): it leaves nothing behind.
   void cancel(EventHandle handle);
 
   /// Runs until the queue drains or `until` is reached (events at exactly
@@ -92,6 +94,7 @@ class Simulator {
   /// Removes the root entry (callers read heap_.front() first).
   void heapPopRoot();
   void freeSlot(std::uint32_t slot);
+  [[nodiscard]] bool cancelled(const HeapEntry& entry) const;
 
   TimePoint now_{};
   std::uint64_t nextSeq_{1};
@@ -103,11 +106,12 @@ class Simulator {
   /// Pending callables, indexed by HeapEntry::slot; freed slots recycle so
   /// steady-state scheduling does not allocate.
   std::vector<Callback> slots_;
+  /// Seq of the live event in each slot; 0 once it is cancelled, has run, or
+  /// the slot is free. A heap entry whose seq no longer matches its slot's is
+  /// a cancelled tombstone: it stays queued (pendingEvents counts it) until
+  /// popped, and a handle whose seq no longer matches cancels nothing.
+  std::vector<std::uint64_t> slotSeq_;
   std::vector<std::uint32_t> freeSlots_;
-  /// Cancelled-event tombstones. Cancellation is rare (timeout timers that
-  /// fired their happy path), so a small vector scanned linearly beats a
-  /// node-allocating hash set on the per-event check.
-  std::vector<std::uint64_t> cancelled_;
 };
 
 }  // namespace blackdp::sim

@@ -1,6 +1,12 @@
 // Secure-packet envelope creation and verification paths.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <limits>
+
+#include "common/bytes.hpp"
+#include "sim/rng.hpp"
+
 #include "core/messages.hpp"
 #include "core/secure.hpp"
 
@@ -36,7 +42,8 @@ TEST_F(SecureTest, RoundTripVerifies) {
 
 TEST_F(SecureTest, MissingEnvelopeFails) {
   const EnvelopeCheck check =
-      verifyEnvelope({1, 2}, std::nullopt, enrollment_.certificate.pseudonym,
+      verifyEnvelope(common::Bytes{1, 2}, std::nullopt,
+                     enrollment_.certificate.pseudonym,
                      ta_, engine_, simulator_.now());
   EXPECT_FALSE(check.ok);
   EXPECT_EQ(check.reason, "no-envelope");
@@ -154,6 +161,70 @@ TEST(CoreMessagesTest, DreqCanonicalBytesMatchPaperTuple) {
     }
     EXPECT_NE(a.canonicalBytes(), b.canonicalBytes()) << "field " << field;
   }
+}
+
+// The stack-built encodings must stay byte-identical to the growing
+// ByteWriter encoding they replaced: every signature in a recorded trace or
+// checkpoint was made over those bytes.
+TEST(CoreMessagesTest, CanonicalBytesEqualTheByteWriterEncoding) {
+  sim::Rng rng{20240605};
+  for (int round = 0; round < 200; ++round) {
+    const auto any64 = [&] {
+      return static_cast<std::uint64_t>(rng.uniformInt(
+                 0, std::numeric_limits<std::int64_t>::max())) *
+             (round % 2 == 0 ? 1u : 3u);
+    };
+    const auto any32 = [&] {
+      return static_cast<std::uint32_t>(rng.uniformInt(0, 0xffff'ffffll));
+    };
+
+    DetectionRequest dreq;
+    dreq.reporter = common::Address{any64()};
+    dreq.reporterCluster = common::ClusterId{any32()};
+    dreq.suspect = common::Address{any64()};
+    dreq.suspectCluster = common::ClusterId{any32()};
+    dreq.nonce = any64();
+    common::ByteWriter dw;
+    dw.writeString("dreq-v1");
+    dw.writeId(dreq.reporter);
+    dw.writeId(dreq.reporterCluster);
+    dw.writeId(dreq.suspect);
+    dw.writeId(dreq.suspectCluster);
+    dw.writeU64(dreq.nonce);
+    const auto dreqBytes = dreq.canonicalBytes();
+    EXPECT_EQ(common::Bytes(dreqBytes.begin(), dreqBytes.end()), dw.bytes());
+
+    AuthHello hello;
+    hello.helloId = any64();
+    hello.origin = common::Address{any64()};
+    hello.destination = common::Address{any64()};
+    hello.isReply = round % 3 == 0;
+    hello.responder = common::Address{any64()};
+    common::ByteWriter hw;
+    hw.writeString("hello-v1");
+    hw.writeU64(hello.helloId);
+    hw.writeId(hello.origin);
+    hw.writeId(hello.destination);
+    hw.writeBool(hello.isReply);
+    hw.writeId(hello.responder);
+    const auto helloBytes = hello.canonicalBytes();
+    EXPECT_EQ(common::Bytes(helloBytes.begin(), helloBytes.end()),
+              hw.bytes());
+  }
+  // One fixed vector, so the layout itself is pinned and not just the
+  // agreement of two encoders.
+  DetectionRequest fixed;
+  fixed.reporter = common::Address{0x0102030405060708ull};
+  fixed.reporterCluster = common::ClusterId{0x0a0b0c0du};
+  fixed.suspect = common::Address{0x1112131415161718ull};
+  fixed.suspectCluster = common::ClusterId{0x1a1b1c1du};
+  fixed.nonce = 0x2122232425262728ull;
+  const std::array<std::uint8_t, DetectionRequest::kCanonicalSize> want{
+      0,    0,    0,    7,    'd',  'r',  'e',  'q',  '-',  'v',  '1',
+      0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x0a, 0x0b, 0x0c,
+      0x0d, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18, 0x1a, 0x1b,
+      0x1c, 0x1d, 0x21, 0x22, 0x23, 0x24, 0x25, 0x26, 0x27, 0x28};
+  EXPECT_EQ(fixed.canonicalBytes(), want);
 }
 
 TEST(CoreMessagesTest, TypeNamesAreStable) {

@@ -6,7 +6,9 @@
 // including a full seeded scenario's trace.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -90,18 +92,27 @@ WorkloadResult runWorkload(bool spatialGrid, std::uint32_t fleet,
     broadcastFrom(origin);
   }
 
-  // Bounded drift (under maxNodeSpeedMps × elapsed is moot here because the
-  // positions are re-read per send; nudge everyone within one cell).
+  // Bounded drift: after one second everyone may have moved up to
+  // maxNodeSpeedMps (50 m); nudge everyone 40 m without refiling.
+  const auto advance = [&](sim::Duration by) {
+    simulator.schedule(by, [] {});
+    simulator.run();
+  };
+  advance(sim::Duration::seconds(1));
   for (auto& radio : radios) radio.where.x += 40.0;
   broadcastFrom(1);
   broadcastFrom(fleet / 2 + 1);
 
   // Teleport: discontinuous jump across many cells must be safe after
-  // invalidateGrid() (the BasicNode::setMotion hook in the full stack).
+  // refile() (the BasicNode::setMotion hook in the full stack).
   radios[0].where = mobility::Position{3'900.0, 3'900.0};
-  medium.invalidateGrid();
+  medium.refile(common::NodeId{1});
   broadcastFrom(1);
   broadcastFrom(fleet);
+
+  // Age the grid past its drift bound: the next send refiles everyone.
+  advance(sim::Duration::seconds(10));
+  broadcastFrom(fleet / 3);
 
   result.stats = medium.stats();
   return result;
@@ -121,6 +132,7 @@ TEST(MediumGridTest, GridAndLinearScanDeliverIdentically) {
     EXPECT_GT(grid.deliveries.size(), 0u);
     EXPECT_GT(grid.stats.gridRebuilds, 0u);
     EXPECT_EQ(linear.stats.gridRebuilds, 0u);
+    EXPECT_LT(grid.stats.candidatesScanned, linear.stats.candidatesScanned);
   }
 }
 
@@ -183,7 +195,30 @@ TEST(MediumGridTest, SeedScenarioReplaysByteIdenticallyGridVsLinear) {
   EXPECT_EQ(gridStats.framesDelivered, linearStats.framesDelivered);
   EXPECT_EQ(gridStats.framesLost, linearStats.framesLost);
   EXPECT_EQ(gridStats.bytesSent, linearStats.bytesSent);
-  EXPECT_GT(gridStats.gridRebuilds, 0u);
+  // The grid path really ran: it examined fewer candidates than the scan.
+  EXPECT_LT(gridStats.candidatesScanned, linearStats.candidatesScanned);
+}
+
+TEST(MediumGridTest, FastFleetReplaysByteIdenticallyGridVsLinear) {
+  // Vehicles faster than the medium's default maxNodeSpeedMps (50 m/s): the
+  // scenario must raise the drift bound to its own top speed, or the grid's
+  // window misses receivers the linear scan reaches.
+  const auto run = [](bool spatialGrid) {
+    obs::MemoryRecorder recorder;
+    obs::ScopedTraceRecorder scoped{&recorder};
+    scenario::ScenarioConfig config;
+    config.seed = 7;
+    config.minSpeedKmh = 350.0;
+    config.maxSpeedKmh = 400.0;
+    config.medium.spatialGrid = spatialGrid;
+    scenario::HighwayScenario world(config);
+    world.runFor(sim::Duration::seconds(12));
+    (void)world.runVerification();
+    return recorder.events();
+  };
+  const auto grid = run(true);
+  ASSERT_FALSE(grid.empty());
+  EXPECT_TRUE(grid == run(false));  // (a mismatch would print every event)
 }
 
 TEST(MediumGridTest, DetachUnbindsAddressesAndReusedAddressRoutesToNewOwner) {
@@ -423,6 +458,276 @@ TEST(MediumGridTest, InRangeAgreesWithDeliveryPredicate) {
   EXPECT_TRUE(medium.inRange(common::NodeId{1}, common::NodeId{2}));
   b.where = {300.1, 0.0};
   EXPECT_FALSE(medium.inRange(common::NodeId{1}, common::NodeId{2}));
+}
+
+// ---------------------------------------------------------------------------
+// Incremental filing. attach, detach and refile move one grid entry each and
+// never force a whole-grid rebuild; the window must still cover every node
+// in range.
+
+/// Radio on a straight line at constant velocity, read off the simulator's
+/// clock like BasicNode's LinearMotion.
+class MovingRadio final : public Radio {
+ public:
+  MovingRadio(std::uint32_t id, const sim::Simulator& simulator,
+              std::vector<std::uint32_t>& log)
+      : id_{id}, simulator_{&simulator}, log_{&log} {}
+
+  [[nodiscard]] mobility::Position radioPosition() const override {
+    const double t = (simulator_->now() - since).toSeconds();
+    return {origin.x + vx * t, origin.y + vy * t};
+  }
+  void onFrame(const Frame&) override { log_->push_back(id_); }
+
+  /// Starts a new straight line here and now (a setMotion).
+  void moveTo(mobility::Position at, double newVx, double newVy) {
+    origin = at;
+    vx = newVx;
+    vy = newVy;
+    since = simulator_->now();
+  }
+
+  mobility::Position origin{};
+  double vx{0.0};
+  double vy{0.0};
+  sim::TimePoint since{};
+
+ private:
+  std::uint32_t id_;
+  const sim::Simulator* simulator_;
+  std::vector<std::uint32_t>* log_;
+};
+
+/// Interleaves attach, detach, refile (teleports and velocity changes) and
+/// in-speed-bound drift with broadcasts and unicasts, all while the grid
+/// stays valid. Returns the delivery log and stats.
+WorkloadResult runChurn(bool spatialGrid, std::uint64_t seed) {
+  MediumConfig config;
+  config.transmissionRangeM = 400.0;
+  config.spatialGrid = spatialGrid;
+  config.lossProbability = 0.2;
+  sim::Simulator simulator;
+  WirelessMedium medium{simulator, sim::Rng{seed}, config};
+
+  WorkloadResult result;
+  constexpr std::uint32_t kPool = 120;
+  std::vector<std::unique_ptr<MovingRadio>> radios;
+  std::vector<bool> attached(kPool, false);
+  sim::Rng script{seed * 31 + 1};
+  const auto randomSpot = [&] {
+    return mobility::Position{script.uniformReal(-2'000.0, 2'000.0),
+                              script.uniformReal(-600.0, 600.0)};
+  };
+  const auto randomVelocity = [&](double& vx, double& vy) {
+    vx = script.uniformReal(-config.maxNodeSpeedMps, config.maxNodeSpeedMps) *
+         0.7;
+    vy = script.uniformReal(-config.maxNodeSpeedMps, config.maxNodeSpeedMps) *
+         0.7;
+  };
+  for (std::uint32_t i = 0; i < kPool; ++i) {
+    radios.push_back(std::make_unique<MovingRadio>(
+        // Node ids deliberately not in pool order.
+        (i * 37) % kPool + 1, simulator, result.deliveries));
+  }
+  const auto nodeOf = [&](std::uint32_t i) {
+    return common::NodeId{(i * 37) % kPool + 1};
+  };
+  const auto attach = [&](std::uint32_t i) {
+    double vx = 0.0;
+    double vy = 0.0;
+    randomVelocity(vx, vy);
+    radios[i]->moveTo(randomSpot(), vx, vy);
+    medium.attach(nodeOf(i), *radios[i]);
+    medium.bindAddress(common::Address{1000 + i}, nodeOf(i));
+    attached[i] = true;
+  };
+  for (std::uint32_t i = 0; i < kPool; i += 2) attach(i);
+
+  for (int op = 0; op < 2'000; ++op) {
+    const std::uint32_t i =
+        static_cast<std::uint32_t>(script.index(kPool));
+    const double pick = script.uniformReal(0.0, 1.0);
+    if (pick < 0.1) {
+      if (attached[i]) {
+        medium.detach(nodeOf(i));
+        attached[i] = false;
+      } else {
+        attach(i);
+      }
+    } else if (pick < 0.2 && attached[i]) {
+      // setMotion: a teleport or a new heading, then refile.
+      double vx = 0.0;
+      double vy = 0.0;
+      randomVelocity(vx, vy);
+      radios[i]->moveTo(script.bernoulli(0.5) ? randomSpot()
+                                              : radios[i]->radioPosition(),
+                        vx, vy);
+      medium.refile(nodeOf(i));
+    } else if (pick < 0.3) {
+      // Let time pass: nodes drift at up to 0.7 × maxNodeSpeedMps.
+      simulator.schedule(sim::Duration::milliseconds(script.uniformInt(1, 900)),
+                         [] {});
+      simulator.run();
+    } else if (attached[i]) {
+      const std::uint32_t to =
+          static_cast<std::uint32_t>(script.index(kPool));
+      const common::Address dst = script.bernoulli(0.3)
+                                      ? common::Address{1000 + to}
+                                      : common::kBroadcastAddress;
+      medium.send(nodeOf(i), Frame{common::Address{1000 + i}, dst,
+                                   net::makePayload<Ping>()});
+      simulator.run();
+    }
+  }
+  result.stats = medium.stats();
+  return result;
+}
+
+TEST(MediumGridTest, GridMatchesLinearScanUnderChurn) {
+  for (const std::uint64_t seed : {3u, 17u, 2024u}) {
+    const WorkloadResult grid = runChurn(true, seed);
+    const WorkloadResult linear = runChurn(false, seed);
+    ASSERT_GT(grid.deliveries.size(), 1'000u);
+    EXPECT_EQ(grid.deliveries, linear.deliveries) << "seed " << seed;
+    EXPECT_EQ(grid.stats.framesSent, linear.stats.framesSent);
+    EXPECT_EQ(grid.stats.framesDelivered, linear.stats.framesDelivered);
+    EXPECT_EQ(grid.stats.framesLost, linear.stats.framesLost);
+    EXPECT_EQ(grid.stats.sendFailures, linear.stats.sendFailures);
+    EXPECT_LT(grid.stats.candidatesScanned, linear.stats.candidatesScanned);
+  }
+}
+
+TEST(MediumGridTest, WindowCoversEveryNodeInRange) {
+  // Nodes at every speed up to maxNodeSpeedMps, some parked exactly on cell
+  // boundaries or exactly one range from the sender. Sends land at grid ages
+  // spread over the whole refile interval; each must reach exactly the
+  // nodes a brute-force range check finds.
+  MediumConfig config;
+  config.transmissionRangeM = 250.0;
+  config.maxJitter = sim::Duration{};
+  const double range = config.transmissionRangeM;
+  const double vmax = config.maxNodeSpeedMps;
+  sim::Simulator simulator;
+  WirelessMedium medium{simulator, sim::Rng{9}, config};
+
+  std::vector<std::uint32_t> log;
+  std::vector<std::unique_ptr<MovingRadio>> radios;
+  sim::Rng placement{4242};
+  const auto add = [&](mobility::Position at, double vx, double vy) {
+    const auto id = static_cast<std::uint32_t>(radios.size() + 1);
+    radios.push_back(std::make_unique<MovingRadio>(id, simulator, log));
+    radios.back()->moveTo(at, vx, vy);
+    medium.attach(common::NodeId{id}, *radios.back());
+  };
+  // Sender, parked on a cell corner.
+  add({2 * range, -range}, 0.0, 0.0);
+  // Parked on cell boundaries, and exactly one range away on each axis.
+  for (int k = -3; k <= 3; ++k) {
+    add({k * range, -range}, 0.0, 0.0);
+    add({2 * range, k * range}, 0.0, 0.0);
+  }
+  add({3 * range, -range}, 0.0, 0.0);
+  add({2 * range, 0.0}, 0.0, 0.0);
+  // Movers at full speed along each axis, and in random directions.
+  for (int k = 0; k < 40; ++k) {
+    const mobility::Position at{placement.uniformReal(-4 * range, 6 * range),
+                                placement.uniformReal(-4 * range, 3 * range)};
+    switch (k % 4) {
+      case 0: add(at, vmax, 0.0); break;
+      case 1: add(at, 0.0, -vmax); break;
+      default: {
+        const double heading = placement.uniformReal(0.0, 6.283185307179586);
+        const double speed = placement.uniformReal(0.0, vmax);
+        add(at, speed * std::cos(heading) * (1.0 - 1e-12),
+            speed * std::sin(heading) * (1.0 - 1e-12));
+      }
+    }
+  }
+  for (int k = 0; k < 200; ++k) {
+    add({placement.uniformReal(-4 * range, 6 * range),
+         placement.uniformReal(-4 * range, 3 * range)},
+        0.0, 0.0);
+  }
+
+  // One refile interval is kRefileDriftFraction × range / vmax seconds;
+  // sample three intervals' worth of grid ages.
+  const double intervalS = WirelessMedium::kRefileDriftFraction * range / vmax;
+  std::size_t sends = 0;
+  for (int step = 0; step < 150; ++step) {
+    simulator.schedule(sim::Duration::fromSeconds(intervalS / 50.0), [] {});
+    simulator.run();
+    for (const std::uint32_t sender :
+         {1u, static_cast<std::uint32_t>(placement.index(radios.size()) + 1)}) {
+      const mobility::Position origin = radios[sender - 1]->radioPosition();
+      std::vector<std::uint32_t> expected;
+      for (std::uint32_t id = 1; id <= radios.size(); ++id) {
+        if (id == sender) continue;
+        const mobility::Position p = radios[id - 1]->radioPosition();
+        const double dx = p.x - origin.x;
+        const double dy = p.y - origin.y;
+        if (dx * dx + dy * dy <= range * range) expected.push_back(id);
+      }
+      log.clear();
+      medium.send(common::NodeId{sender},
+                  Frame{common::Address{sender}, common::kBroadcastAddress,
+                        net::makePayload<Ping>()});
+      simulator.run();
+      ASSERT_EQ(log, expected) << "step " << step << " sender " << sender;
+      ++sends;
+    }
+  }
+  EXPECT_EQ(sends, 300u);
+  EXPECT_GE(medium.stats().gridRebuilds, 2u);
+}
+
+TEST(MediumGridTest, RebindThenDetachKeepsTheNewOwner) {
+  // An address re-bound to a second node without an unbind in between
+  // belongs to the second node: detaching the first must not unbind it.
+  MediumConfig config;
+  config.maxJitter = sim::Duration{};
+  sim::Simulator simulator;
+  WirelessMedium medium{simulator, sim::Rng{3}, config};
+  std::vector<std::uint32_t> log;
+  LoggingRadio sender{1, log};
+  LoggingRadio first{2, log};
+  LoggingRadio second{3, log};
+  sender.where = {0.0, 0.0};
+  first.where = {10.0, 0.0};
+  second.where = {20.0, 0.0};
+  medium.attach(common::NodeId{1}, sender);
+  medium.attach(common::NodeId{2}, first);
+  medium.attach(common::NodeId{3}, second);
+  medium.bindAddress(common::Address{77}, common::NodeId{2});
+  medium.bindAddress(common::Address{78}, common::NodeId{2});
+  medium.bindAddress(common::Address{77}, common::NodeId{3});
+  medium.detach(common::NodeId{2});
+  const auto unicast = [&](std::uint64_t dst) {
+    medium.send(common::NodeId{1}, Frame{common::Address{1},
+                                         common::Address{dst},
+                                         net::makePayload<Ping>()});
+    simulator.run();
+  };
+  unicast(77);
+  EXPECT_EQ(sender.sendFailures, 0u);  // node 3 still owns 77
+  unicast(78);
+  EXPECT_EQ(sender.sendFailures, 1u);  // 78 went with node 2
+  // Detach and re-attach of the new owner: its bindings are gone.
+  medium.detach(common::NodeId{3});
+  medium.attach(common::NodeId{3}, second);
+  unicast(77);
+  EXPECT_EQ(sender.sendFailures, 2u);
+}
+
+TEST(MediumGridTest, HighwayConstructionDoesNotRebuildPerAttach) {
+  // World construction attaches ~100 nodes, each followed by a join
+  // broadcast. Attaching files one entry, so the build must not turn into a
+  // whole-grid refile per attach.
+  scenario::ScenarioConfig config;
+  config.seed = 20170605;
+  config.attack = scenario::AttackType::kCooperative;
+  scenario::HighwayScenario world(config);
+  EXPECT_GT(world.medium().stats().framesSent, 50u);
+  EXPECT_LE(world.medium().stats().gridRebuilds, 2u);
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
+#include <limits>
 #include <numeric>
+#include <set>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -203,6 +206,194 @@ TEST_P(SimulatorOrderProperty, ExecutionOrderIsSortedByTime) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorOrderProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+// Reference model of the kernel's observable semantics, written the plain
+// way: pending (when, seq) entries in a sorted list plus a set of cancelled
+// seqs that a pop consumes. A cancelled entry stays pending (and counted by
+// pendingEvents) until it reaches the front; step() skips such entries and
+// runs the next live one whatever its time; run(until) checks `until`
+// against the front before each step.
+class ReferenceSimulator {
+ public:
+  struct Handle {
+    std::uint64_t seq{0};
+  };
+
+  [[nodiscard]] TimePoint now() const { return now_; }
+
+  Handle schedule(Duration delay, std::function<void()> fn) {
+    if (delay < Duration{}) delay = Duration{};
+    const Entry entry{now_ + delay, nextSeq_++, std::move(fn)};
+    const auto at = std::upper_bound(
+        pending_.begin(), pending_.end(), entry,
+        [](const Entry& a, const Entry& b) {
+          return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+        });
+    const std::uint64_t seq = entry.seq;
+    pending_.insert(at, entry);
+    return Handle{seq};
+  }
+
+  void cancel(Handle handle) {
+    if (handle.seq != 0) cancelled_.insert(handle.seq);
+  }
+
+  bool step() {
+    while (!pending_.empty()) {
+      Entry top = std::move(pending_.front());
+      pending_.erase(pending_.begin());
+      if (cancelled_.erase(top.seq) != 0) continue;
+      now_ = top.when;
+      ++executed_;
+      top.fn();
+      return true;
+    }
+    return false;
+  }
+
+  std::size_t run(TimePoint until) {
+    std::size_t ran = 0;
+    while (!pending_.empty() && pending_.front().when <= until) {
+      if (step()) ++ran;
+    }
+    return ran;
+  }
+
+  [[nodiscard]] std::size_t pendingEvents() const { return pending_.size(); }
+  [[nodiscard]] std::size_t executedEvents() const { return executed_; }
+
+ private:
+  struct Entry {
+    TimePoint when;
+    std::uint64_t seq;
+    std::function<void()> fn;
+  };
+  TimePoint now_{};
+  std::uint64_t nextSeq_{1};
+  std::size_t executed_{0};
+  std::vector<Entry> pending_;
+  std::set<std::uint64_t> cancelled_;
+};
+
+class SimulatorCancelModel : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Random schedule / cancel / step / run(until) sequences drive the kernel
+// and the reference model side by side. Cancels hit pending, already-run,
+// already-cancelled and default handles alike; some events schedule and
+// cancel others from inside their callback, which recycles slots while
+// stale handles to them are still held. Every observable must agree.
+TEST_P(SimulatorCancelModel, MatchesReferenceSemantics) {
+  Rng rng{GetParam()};
+  Simulator real;
+  ReferenceSimulator model;
+  std::vector<EventHandle> realHandles;
+  std::vector<ReferenceSimulator::Handle> modelHandles;
+  std::vector<std::uint64_t> realLog;
+  std::vector<std::uint64_t> modelLog;
+
+  // Per-event script, drawn once so both sides do the same thing. The real
+  // kernel always runs an event first (its side is stepped first), so it
+  // draws a spawned child's script and the model reuses it.
+  struct Script {
+    std::int64_t delayUs;
+    bool spawns;
+    std::int64_t childDelayUs;
+    std::size_t cancelTarget;  ///< handle index, or SIZE_MAX for none
+    std::size_t child{SIZE_MAX};
+  };
+  std::vector<Script> scripts;
+
+  const auto drawScript = [&](std::int64_t delayUs) {
+    const bool spawns = rng.bernoulli(0.2);
+    const std::int64_t childDelay = rng.uniformInt(0, 3);
+    std::size_t target = SIZE_MAX;
+    if (!realHandles.empty() && rng.bernoulli(0.3)) {
+      target = rng.index(realHandles.size());
+    }
+    scripts.push_back(Script{delayUs, spawns, childDelay, target});
+    realHandles.emplace_back();
+    modelHandles.emplace_back();
+    return scripts.size() - 1;
+  };
+  std::function<void(std::size_t, bool)> fire;
+  const auto scheduleOn = [&](std::size_t id, bool onReal) {
+    const Duration delay = Duration::microseconds(scripts[id].delayUs);
+    if (onReal) {
+      realHandles[id] = real.schedule(delay, [&, id] { fire(id, true); });
+    } else {
+      modelHandles[id] = model.schedule(delay, [&, id] { fire(id, false); });
+    }
+  };
+  fire = [&](std::size_t id, bool onReal) {
+    (onReal ? realLog : modelLog).push_back(id);
+    const Script script = scripts[id];
+    if (script.cancelTarget != SIZE_MAX) {
+      if (onReal) {
+        real.cancel(realHandles[script.cancelTarget]);
+      } else {
+        model.cancel(modelHandles[script.cancelTarget]);
+      }
+    }
+    if (!script.spawns) return;
+    if (onReal) scripts[id].child = drawScript(script.childDelayUs);
+    scheduleOn(scripts[id].child, onReal);
+  };
+
+  for (int op = 0; op < 3000; ++op) {
+    const double pick = rng.uniformReal(0.0, 1.0);
+    if (pick < 0.45) {
+      const std::size_t id = drawScript(rng.uniformInt(-2, 40));
+      scheduleOn(id, true);  // negative delays clamp to now
+      scheduleOn(id, false);
+    } else if (pick < 0.7) {
+      // Cancel anything: pending, already run, already cancelled.
+      if (realHandles.empty()) continue;
+      const std::size_t k = rng.index(realHandles.size());
+      real.cancel(realHandles[k]);
+      model.cancel(modelHandles[k]);
+    } else if (pick < 0.75) {
+      real.cancel(EventHandle{});
+    } else if (pick < 0.9) {
+      const bool realStepped = real.step();
+      const bool modelStepped = model.step();
+      EXPECT_EQ(realStepped, modelStepped);
+    } else {
+      const TimePoint until = real.now() + Duration::microseconds(
+                                               rng.uniformInt(0, 20));
+      const std::size_t realRan = real.run(until);
+      const std::size_t modelRan = model.run(until);
+      EXPECT_EQ(realRan, modelRan);
+    }
+    ASSERT_EQ(real.now(), model.now()) << "op " << op;
+    ASSERT_EQ(real.pendingEvents(), model.pendingEvents()) << "op " << op;
+    ASSERT_EQ(real.executedEvents(), model.executedEvents()) << "op " << op;
+  }
+  real.run();
+  model.run(TimePoint::fromUs(std::numeric_limits<std::int64_t>::max()));
+  EXPECT_EQ(real.executedEvents(), model.executedEvents());
+  EXPECT_EQ(real.pendingEvents(), 0u);
+  EXPECT_EQ(model.pendingEvents(), 0u);
+  ASSERT_FALSE(realLog.empty());
+  EXPECT_EQ(realLog, modelLog);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorCancelModel,
+                         ::testing::Values(1, 7, 42, 20170605, 314159));
+
+TEST(SimulatorTest, CancelOfRunEventLeavesNothingQueued) {
+  Simulator simulator;
+  int ran = 0;
+  const EventHandle handle =
+      simulator.schedule(Duration::microseconds(1), [&ran] { ++ran; });
+  simulator.run();
+  // The slot is reused by the next event; the stale handle must not cancel
+  // it, and must not leave a tombstone that a later pop would consume.
+  simulator.schedule(Duration::microseconds(1), [&ran] { ++ran; });
+  simulator.cancel(handle);
+  EXPECT_EQ(simulator.pendingEvents(), 1u);
+  simulator.run();
+  EXPECT_EQ(ran, 2);
+}
 
 // --------------------------------------------------------------------- rng
 
